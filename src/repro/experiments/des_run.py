@@ -20,7 +20,7 @@ import json
 import threading
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.ap.access_point import AccessPoint, ApConfig
 from repro.dot11.mac_address import MacAddress
@@ -28,12 +28,11 @@ from repro.energy.meter import ClientEnergyMeter, MeteredEnergy
 from repro.energy.profile import DeviceEnergyProfile, NEXUS_ONE
 from repro.errors import ConfigurationError
 from repro.faults import FaultInjector, FaultPlan
-from repro.net.packet import build_broadcast_udp_packet
+from repro.net.packet import zero_padded_broadcast_packet
 from repro.obs.collectors import collect_all, collect_delivery, collect_profiler
 from repro.obs.ledger import FrameLedger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import AttributionProfiler, ProfilerConfig
-from repro.obs.server import MetricsServer
 from repro.obs.timeseries import TimeseriesRecorder, dtim_window_s
 from repro.obs.tracing import NULL_TRACER
 from repro.sim.engine import Simulator
@@ -43,6 +42,9 @@ from repro.sim.medium import DELIVERY_KINDS, Medium
 from repro.station.client import Client, ClientConfig, ClientPolicy
 from repro.traces.trace import BroadcastTrace
 from repro.traces.usefulness import ports_for_target_fraction
+
+if TYPE_CHECKING:
+    from repro.obs.server import MetricsServer
 
 #: Metric families excluded from determinism fingerprints: wall-clock
 #: families measure the host, not the protocol, and the probe counter
@@ -337,6 +339,10 @@ class PreparedDesRun:
         )
         self.recorder.attach(self.simulator)
         if telemetry.serve_port is not None:
+            # Imported here: http.server is only worth loading when a
+            # run actually serves its metrics.
+            from repro.obs.server import MetricsServer
+
             profile_fn = None
             if self.profiler is not None:
                 profile_fn = self.profiler.report
@@ -603,8 +609,9 @@ def prepare_trace_des(
         offered = (
             record.offered_time if record.offered_time is not None else record.time
         )
-        payload_bytes = max(1, record.length_bytes - _FRAMING_OVERHEAD_BYTES)
-        packet = build_broadcast_udp_packet(record.udp_port, b"\x00" * payload_bytes)
+        packet = zero_padded_broadcast_packet(
+            record.udp_port, max(1, record.length_bytes - _FRAMING_OVERHEAD_BYTES)
+        )
         # post_at, not schedule_at: trace replay never cancels, so the
         # preschedule loop skips one EventHandle allocation per frame.
         # partial, not a lambda: same call, but the profiler can unwrap

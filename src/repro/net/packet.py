@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional
 
 from repro.dot11.llc import ETHERTYPE_IPV4, LlcSnapHeader
@@ -32,6 +33,19 @@ def build_broadcast_udp_packet(
     )
     header = Ipv4Header(source=src_ip, destination=IP_BROADCAST, ttl=1)
     return header.to_bytes(len(udp)) + udp
+
+
+@lru_cache(maxsize=4096)
+def zero_padded_broadcast_packet(dst_port: int, payload_bytes: int) -> bytes:
+    """A limited-broadcast UDP packet carrying ``payload_bytes`` zero bytes.
+
+    Trace replay stands a zero-filled payload in for each recorded
+    frame's contents, so the packet depends only on ``(dst_port,
+    payload_bytes)``. Packets are immutable ``bytes`` and a trace repeats
+    few distinct keys (600 s of the default Classroom trace: 8,272 frames
+    over 770 keys), so each one is built once and shared.
+    """
+    return build_broadcast_udp_packet(dst_port, bytes(payload_bytes))
 
 
 def extract_udp_dst_port(ip_packet: bytes) -> Optional[int]:

@@ -33,7 +33,6 @@ from repro.obs.timeseries import (
     WindowSample,
     dtim_window_s,
 )
-from repro.obs.server import MetricsServer
 from repro.obs.diff import (
     DiffResult,
     MetricDelta,
@@ -82,6 +81,17 @@ from repro.obs.slo import (
     render_slo,
 )
 from repro.obs.summarize import TraceSummary, render_summary, summarize_trace
+
+
+def __getattr__(name: str):
+    # MetricsServer needs http.server, which costs every importer of
+    # this package tens of milliseconds; load it on first use instead.
+    if name == "MetricsServer":
+        from repro.obs.server import MetricsServer
+
+        return MetricsServer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AttributionProfiler",

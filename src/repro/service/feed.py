@@ -20,16 +20,16 @@ from typing import List, Optional, Sequence
 from repro.dot11.data import DataFrame
 from repro.dot11.mac_address import MacAddress
 from repro.errors import ConfigurationError
-from repro.net.packet import build_broadcast_udp_packet
-from repro.net.udp import UDP_HEADER_BYTES
+from repro.net.packet import zero_padded_broadcast_packet
 from repro.traces import generate_trace, scenario_by_name
+from repro.traces.generators import FRAME_OVERHEAD_BYTES
 from repro.traces.trace import BroadcastTrace
 
 _BSSID = MacAddress.from_string("02:aa:00:00:00:01")
 _SENDER = MacAddress.from_string("02:bb:00:00:00:99")
 
-#: IPv4 header bytes ahead of the UDP datagram inside the frame body.
-_IPV4_HEADER_BYTES = 20
+#: Largest zero-filled UDP payload a fed frame carries.
+_MAX_PAYLOAD_BYTES = 1400
 
 
 class BroadcastFrameFeed:
@@ -52,15 +52,16 @@ class BroadcastFrameFeed:
         self.dtim_interval_s = dtim_interval_s
         self._frames: List[DataFrame] = []
         for record in records:
-            payload = max(
-                1, record.length_bytes - _IPV4_HEADER_BYTES - UDP_HEADER_BYTES
-            )
+            # The record's length is the whole frame on the air; the
+            # fed frame carries what is left after 802.11 + LLC + IP +
+            # UDP framing, so the two lengths agree up to the cap.
+            payload = max(1, record.length_bytes - FRAME_OVERHEAD_BYTES)
             self._frames.append(
                 DataFrame.broadcast_udp(
                     bssid=_BSSID,
                     source=_SENDER,
-                    ip_packet=build_broadcast_udp_packet(
-                        record.udp_port, b"\x00" * min(payload, 1400)
+                    ip_packet=zero_padded_broadcast_packet(
+                        record.udp_port, min(payload, _MAX_PAYLOAD_BYTES)
                     ),
                 )
             )

@@ -10,6 +10,7 @@ with the more-data bit set on every burst frame except the last.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
@@ -39,35 +40,33 @@ def apply_dtim_release(
     if beacon_interval_s <= 0 or dtim_period < 1:
         raise ConfigurationError("bad beacon schedule")
     dtim_interval = beacon_interval_s * dtim_period
-    ordered = sorted(offered, key=lambda item: item[0])
+    ordered = sorted(offered, key=itemgetter(0))
     records: List[BroadcastFrameRecord] = []
+    append = records.append
+    record = BroadcastFrameRecord
+    total = len(ordered)
 
     index = 0
     boundary = dtim_interval  # first DTIM at one interval in
     transmit_cursor = 0.0
-    while index < len(ordered) and boundary <= duration_s + dtim_interval:
-        # Collect everything offered before this DTIM boundary.
-        burst: List[Tuple[float, int, int, float]] = []
-        while index < len(ordered) and ordered[index][0] < boundary:
-            burst.append(ordered[index])
-            index += 1
-        if burst:
-            transmit_cursor = max(transmit_cursor, boundary + beacon_airtime_s)
-            for position, (offered_time, port, length, rate) in enumerate(burst):
+    while index < total and boundary <= duration_s + dtim_interval:
+        # The burst is everything offered before this DTIM boundary.
+        end = index
+        while end < total and ordered[end][0] < boundary:
+            end += 1
+        if end > index:
+            head = boundary + beacon_airtime_s
+            if head > transmit_cursor:
+                transmit_cursor = head
+            last = end - 1
+            for position in range(index, end):
+                offered_time, port, length, rate = ordered[position]
                 start = transmit_cursor
                 airtime = PHY_OVERHEAD_S + length * 8 / rate
                 transmit_cursor = start + airtime + SIFS_S
                 if start >= duration_s:
                     break
-                records.append(
-                    BroadcastFrameRecord(
-                        time=start,
-                        udp_port=port,
-                        length_bytes=length,
-                        rate_bps=rate,
-                        more_data=position < len(burst) - 1,
-                        offered_time=offered_time,
-                    )
-                )
+                append(record(start, port, length, rate, position < last, offered_time))
+            index = end
         boundary += dtim_interval
     return records

@@ -7,6 +7,7 @@ from repro.net.packet import (
     build_broadcast_udp_packet,
     extract_udp_dst_port,
     extract_udp_dst_port_from_dot11_body,
+    zero_padded_broadcast_packet,
 )
 from repro.net.ports import (
     WELL_KNOWN_BROADCAST_SERVICES,
@@ -29,6 +30,18 @@ class TestBroadcastPacket:
         packet = build_broadcast_udp_packet(137, b"x")
         header, _ = Ipv4Header.from_bytes(packet)
         assert header.ttl == 1
+
+    def test_zero_padded_packet_matches_builder(self):
+        for port, size in ((137, 1), (1900, 246), (5353, 1400)):
+            assert zero_padded_broadcast_packet(port, size) == (
+                build_broadcast_udp_packet(port, b"\x00" * size)
+            )
+
+    def test_zero_padded_packet_is_shared_per_key(self):
+        first = zero_padded_broadcast_packet(17500, 77)
+        assert zero_padded_broadcast_packet(17500, 77) is first
+        assert zero_padded_broadcast_packet(17500, 78) is not first
+        assert extract_udp_dst_port(first) == 17500
 
     def test_non_udp_returns_none(self):
         header = Ipv4Header(

@@ -6,6 +6,9 @@ from repro.ap.flags import compute_broadcast_flags
 from repro.ap.port_table import ClientUdpPortTable
 from repro.errors import ConfigurationError
 from repro.service.feed import BroadcastFrameFeed
+from repro.traces import generate_trace
+from repro.traces.generators import FRAME_OVERHEAD_BYTES
+from tests.conftest import make_trace
 
 
 def test_batches_follow_trace_density():
@@ -56,3 +59,28 @@ def test_frames_run_algorithm1():
 def test_bad_dtim_rejected():
     with pytest.raises(ConfigurationError):
         BroadcastFrameFeed.from_scenario("Classroom", 0.0)
+
+
+
+def _first_cycle(feed):
+    frames = []
+    while feed.frames_served < len(feed):
+        frames.extend(feed.next_batch())
+    return frames
+
+
+def test_fed_frame_length_matches_its_record():
+    """Fed frames are as long on the air as the records they replay."""
+    trace = generate_trace("WML", seed=5)
+    feed = BroadcastFrameFeed(trace, 0.1024, max_pool=300)
+    frames = _first_cycle(feed)
+    assert len(frames) == len(feed) == 300
+    for record, frame in zip(trace.records, frames):
+        assert frame.length_bytes == record.length_bytes
+        assert frame.udp_dst_port() == record.udp_port
+
+
+def test_fed_frame_payload_is_capped():
+    trace = make_trace([0.5, 0.6], length=3000)
+    (frame,) = _first_cycle(BroadcastFrameFeed(trace, 0.1024, max_pool=1))
+    assert frame.length_bytes == FRAME_OVERHEAD_BYTES + 1400
