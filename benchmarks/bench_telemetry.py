@@ -9,9 +9,13 @@ The same measurements back ``repro bench``, which writes
 compares that file against the committed baseline in CI. Here the
 functions run under pytest so the contract is asserted, and a schema
 round-trip pins that ``obs diff`` keeps understanding the bench output.
+Two checks also time the test-only oracles (``tests/sim/oracles.py``):
+the heap event queue gets a throughput floor, and the vectorized
+delivery lane must beat the reference lane.
 """
 
 import json
+from unittest import mock
 
 from repro.experiments.bench import (
     bench_algorithm1,
@@ -27,10 +31,11 @@ from repro.experiments.bench import (
     write_bench_json,
 )
 from repro.obs.diff import diff_files, load_metrics_file
+from tests.sim.oracles import heap_simulator, oracle_lanes
 
 
 def test_engine_event_throughput(record_result):
-    result = bench_engine_throughput(events=20_000, repeats=3, queue="calendar")
+    result = bench_engine_throughput(events=20_000, repeats=3)
     assert result.value > 10_000, "event loop slower than 10k events/s"
     record_result(
         "bench_telemetry_engine",
@@ -39,15 +44,16 @@ def test_engine_event_throughput(record_result):
 
 
 def test_engine_throughput_heap_reference(record_result):
-    """The reference heap backend stays within the same league.
+    """The heap-queue oracle stays within the same league.
 
-    Not a race between backends — the host is too noisy for that — just
-    a floor so a regression in either backend's hot path is caught.
+    Not a race between queues — the host is too noisy for that — just
+    a floor so a regression in the shared run loop is caught on the
+    oracle too.
     """
-    result = bench_engine_throughput(
-        events=20_000, repeats=3, queue="heap",
-        name="engine_events_per_second_heap",
-    )
+    with mock.patch("repro.experiments.bench.Simulator", heap_simulator):
+        result = bench_engine_throughput(
+            events=20_000, repeats=3, name="engine_events_per_second_heap"
+        )
     assert result.value > 10_000, "heap event loop slower than 10k events/s"
     record_result(
         "bench_telemetry_engine_heap",
@@ -95,16 +101,15 @@ def test_delivery_fanout_vectorized_beats_reference(record_result):
 
     At 150 clients the measured gap is several-fold, so a simple
     greater-than comparison survives host noise; if the two lanes ever
-    converge, either the vectorization rotted or the reference path
-    learned the same trick and the backends should be re-evaluated.
+    converge, the vectorization rotted.
     """
-    reference = bench_delivery_fanout(
-        clients=150,
-        duration_s=3.0,
-        repeats=1,
-        delivery="reference",
-        name="delivery_fanout_events_per_second_reference",
-    )
+    with oracle_lanes(reference=True):
+        reference = bench_delivery_fanout(
+            clients=150,
+            duration_s=3.0,
+            repeats=1,
+            name="delivery_fanout_events_per_second_reference",
+        )
     vectorized = bench_delivery_fanout(
         clients=150, duration_s=3.0, repeats=2
     )
@@ -225,11 +230,9 @@ def test_bench_json_roundtrips_through_obs_diff(tmp_path):
     loaded = load_metrics_file(str(path_a))
     assert set(loaded) == {
         "engine_events_per_second",
-        "engine_events_per_second_heap",
         "sweep_runs_per_second",
         "algorithm1_seconds_per_dtim",
         "delivery_fanout_events_per_second",
-        "delivery_fanout_events_per_second_reference",
         "ledger_overhead_fraction",
         "obs_overhead_fraction",
         "profiler_overhead_fraction",

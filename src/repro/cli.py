@@ -212,16 +212,45 @@ def _parse_timeseries_window(spec: str):
         )
 
 
+def _add_run_flags(parser: argparse.ArgumentParser, duration_s: float) -> None:
+    """The DES run flags shared by ``sim run``, ``sweep`` and ``profile``."""
+    group = parser.add_argument_group("DES run")
+    group.add_argument(
+        "--policy", choices=["receive-all", "client-side", "hide"],
+        default="hide",
+    )
+    group.add_argument("--clients", type=int, default=3)
+    group.add_argument("--fraction", type=float, default=0.10)
+    group.add_argument(
+        "--duration", type=float, default=duration_s,
+        help=f"simulated seconds per run (default {duration_s:g}; capped "
+             "at the trace duration)",
+    )
+    group.add_argument("--dtim-period", type=int, default=1)
+
+
+def _des_config(args: argparse.Namespace, **extra):
+    """The ``DesRunConfig`` for the shared run flags plus ``extra``."""
+    from repro.experiments.des_run import DesRunConfig
+    from repro.station.client import ClientPolicy
+
+    return DesRunConfig(
+        policy=ClientPolicy(args.policy),
+        client_count=args.clients,
+        useful_fraction=args.fraction,
+        duration_s=args.duration,
+        dtim_period=args.dtim_period,
+        **extra,
+    )
+
+
 def cmd_sim_run(args: argparse.Namespace) -> int:
     from repro.experiments.des_run import (
         CLIENT_SUMMARY_HEADERS,
-        DesRunConfig,
         TelemetryConfig,
         client_summary_rows,
         prepare_trace_des,
     )
-    from repro.station.client import ClientPolicy
-
     from repro.faults import FaultPlan
     from repro.sim.invariants import InvariantViolation
 
@@ -249,13 +278,9 @@ def cmd_sim_run(args: argparse.Namespace) -> int:
             window=window,
             serve_port=args.serve_metrics,
         )
-    config = DesRunConfig(
-        policy=ClientPolicy(args.policy),
-        client_count=args.clients,
-        useful_fraction=args.fraction,
-        duration_s=args.duration,
+    config = _des_config(
+        args,
         profile=profile,
-        dtim_period=args.dtim_period,
         hide_ap=not args.no_hide_ap,
         fault_plan=fault_plan,
         check_invariants=args.check_invariants,
@@ -263,8 +288,6 @@ def cmd_sim_run(args: argparse.Namespace) -> int:
         port_entry_ttl_s=args.port_ttl,
         port_refresh_interval_s=args.port_refresh,
         telemetry=telemetry,
-        queue_backend=args.queue,
-        delivery_backend=args.delivery,
         ledger=bool(args.ledger or args.ledger_out),
     )
     prepared = prepare_trace_des(trace, config, tracer=tracer)
@@ -355,7 +378,6 @@ def cmd_sim_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments.des_run import DesRunConfig
     from repro.experiments.sweep import (
         SweepSpec,
         SweepTelemetry,
@@ -364,23 +386,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         run_sweep,
         write_sweep_json,
     )
-    from repro.station.client import ClientPolicy
 
     profiler = None
     if args.profile:
         from repro.obs.profiler import ProfilerConfig
 
         profiler = ProfilerConfig(mode=args.profile, stride=args.profile_stride)
-    config = DesRunConfig(
-        policy=ClientPolicy(args.policy),
-        client_count=args.clients,
-        useful_fraction=args.fraction,
-        duration_s=args.duration,
-        dtim_period=args.dtim_period,
+    config = _des_config(
+        args,
         check_invariants=args.check_invariants,
         recovery=not args.no_recovery,
-        queue_backend=args.queue,
-        delivery_backend=args.delivery,
         profiler=profiler,
     )
     spec = SweepSpec(
@@ -438,14 +453,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    from repro.experiments.des_run import DesRunConfig, prepare_trace_des
+    from repro.experiments.des_run import prepare_trace_des
     from repro.obs.profiler import (
         ProfilerConfig,
         render_profile_table,
         write_profile_json,
     )
     from repro.sim.invariants import InvariantViolation
-    from repro.station.client import ClientPolicy
 
     source = args.source or args.scenario
     if source is None:
@@ -453,15 +467,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     trace = _load_trace(source)
-    config = DesRunConfig(
-        policy=ClientPolicy(args.policy),
-        client_count=args.clients,
-        useful_fraction=args.fraction,
-        duration_s=args.duration,
-        dtim_period=args.dtim_period,
-        queue_backend=args.queue,
-        delivery_backend=args.delivery,
-        profiler=ProfilerConfig(mode=args.mode, stride=args.stride),
+    config = _des_config(
+        args, profiler=ProfilerConfig(mode=args.mode, stride=args.stride)
     )
     prepared = prepare_trace_des(trace, config)
     try:
@@ -714,29 +721,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenario", default=None, metavar="NAME",
         help="scenario name (alternative to the positional source)",
     )
-    sim_run.add_argument(
-        "--policy",
-        choices=["receive-all", "client-side", "hide"],
-        default="hide",
-    )
-    sim_run.add_argument("--clients", type=int, default=3)
-    sim_run.add_argument("--fraction", type=float, default=0.10)
+    _add_run_flags(sim_run, duration_s=60.0)
     sim_run.add_argument("--device", choices=sorted(_DEVICES), default="nexus-one")
-    sim_run.add_argument(
-        "--duration", type=float, default=60.0,
-        help="simulated seconds (capped at the trace duration)",
-    )
-    sim_run.add_argument("--dtim-period", type=int, default=1)
-    sim_run.add_argument(
-        "--queue", choices=["heap", "calendar"], default=None,
-        help="event-queue backend (default: the engine's default; the "
-             "backends are observably identical)",
-    )
-    sim_run.add_argument(
-        "--delivery", choices=["reference", "vectorized"], default=None,
-        help="delivery backend (default: the medium's default, "
-             "vectorized; the backends are bit-identical)",
-    )
     sim_run.add_argument(
         "--fault-plan", default=None, metavar="SPEC",
         help="seeded fault plan: a JSON file path or an inline spec like "
@@ -838,25 +824,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (1 = in-process; report is identical "
              "either way)",
     )
-    sweep.add_argument(
-        "--policy", choices=["receive-all", "client-side", "hide"],
-        default="hide",
-    )
-    sweep.add_argument("--clients", type=int, default=3)
-    sweep.add_argument("--fraction", type=float, default=0.10)
-    sweep.add_argument(
-        "--duration", type=float, default=10.0,
-        help="simulated seconds per run (capped at trace duration)",
-    )
-    sweep.add_argument("--dtim-period", type=int, default=1)
-    sweep.add_argument(
-        "--queue", choices=["heap", "calendar"], default=None,
-        help="event-queue backend for every run",
-    )
-    sweep.add_argument(
-        "--delivery", choices=["reference", "vectorized"], default=None,
-        help="delivery backend for every run (default: vectorized)",
-    )
+    _add_run_flags(sweep, duration_s=10.0)
     sweep.add_argument(
         "--fault-plan", default=None, metavar="SPEC",
         help="fault-plan spec applied to every run with its seed "
@@ -924,25 +892,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--stride", type=int, default=16, metavar="N",
         help="sampling stride (ignored in exact mode; default 16)",
     )
-    profile.add_argument(
-        "--policy", choices=["receive-all", "client-side", "hide"],
-        default="hide",
-    )
-    profile.add_argument("--clients", type=int, default=3)
-    profile.add_argument("--fraction", type=float, default=0.10)
-    profile.add_argument(
-        "--duration", type=float, default=60.0,
-        help="simulated seconds (capped at the trace duration)",
-    )
-    profile.add_argument("--dtim-period", type=int, default=1)
-    profile.add_argument(
-        "--queue", choices=["heap", "calendar"], default=None,
-        help="event-queue backend",
-    )
-    profile.add_argument(
-        "--delivery", choices=["reference", "vectorized"], default=None,
-        help="delivery backend (default: vectorized)",
-    )
+    _add_run_flags(profile, duration_s=60.0)
     profile.add_argument(
         "--top", type=int, default=15, metavar="N",
         help="rows in the hotspot table (default 15)",

@@ -3,9 +3,7 @@
 The benchmarks cover the paths every perf PR touches:
 
 * ``engine_events_per_second`` — raw DES event-loop throughput over a
-  chained ``post()`` schedule on the calendar-queue backend (higher is
-  better); ``engine_events_per_second_heap`` is the same workload on
-  the reference binary heap.
+  chained ``post()`` schedule (higher is better).
 * ``sweep_runs_per_second`` — full DES runs per second through the
   sharded sweep runner at 8 workers.
 * ``algorithm1_seconds_per_dtim`` — one Algorithm-1 execution at the
@@ -30,11 +28,8 @@ The benchmarks cover the paths every perf PR touches:
   ``service_flags_per_second`` gauge tracks.
 * ``delivery_fanout_events_per_second`` — full-DES event throughput at
   a dense-fleet operating point (DenseFleet scenario, hundreds of
-  clients) on the vectorized delivery backend, the workload the
-  struct-of-arrays fast lane exists for;
-  ``delivery_fanout_events_per_second_reference`` is the same run on
-  the reference per-entity loop, so the fan-out speedup stays a
-  visible, diffable number.
+  clients), the workload the struct-of-arrays delivery lane exists
+  for.
 * ``ledger_overhead_fraction`` — the cost of the attached frame
   ledger (per-frame delay spans + delivery observer) over the exact
   same seeded run with the ledger detached, at the dense-fleet
@@ -102,7 +97,6 @@ def _best_of(fn: Callable[[], float], repeats: int, pick_max: bool) -> Tuple[flo
 def bench_engine_throughput(
     events: int = 20_000,
     repeats: int = 3,
-    queue: str = "calendar",
     name: str = "engine_events_per_second",
 ) -> BenchResult:
     """Events per wall second through a chained self-scheduling loop.
@@ -111,13 +105,11 @@ def bench_engine_throughput(
     handle allocation — with GC parked during the timed section, the
     same hygiene as any microbenchmark of a sub-microsecond operation.
     Short samples with best-of-N suppress the slow-host drift a single
-    long sample would average in.  The headline number runs the
-    calendar backend; ``engine_events_per_second_heap`` is the same
-    workload on the reference heap for an honest side-by-side.
+    long sample would average in.
     """
 
     def one_run() -> float:
-        sim = Simulator(queue=queue)
+        sim = Simulator()
         remaining = [events]
         post = sim.post
 
@@ -149,7 +141,6 @@ def bench_engine_throughput(
         detail={
             "events": float(events),
             "samples": float(len(samples)),
-            "queue_calendar": 1.0 if queue == "calendar" else 0.0,
         },
     )
 
@@ -243,7 +234,6 @@ def bench_delivery_fanout(
     clients: int = 200,
     duration_s: float = 5.0,
     repeats: int = 2,
-    delivery: str = "vectorized",
     name: str = "delivery_fanout_events_per_second",
     scenario: str = "DenseFleet",
 ) -> BenchResult:
@@ -251,18 +241,12 @@ def bench_delivery_fanout(
 
     A full protocol run (association, DTIM cycles, announcement storms)
     at a fleet size where delivery dominates the wall clock, so the
-    number moves with exactly the path the delivery backends differ on.
-    Both backends produce bit-identical fingerprints (the delivery-
-    equivalence suite pins that); this measures only how fast each gets
-    there.  Events per second rather than raw wall time, so the value
-    stays comparable if the scenario's event count shifts.
+    number moves with exactly the delivery lane's fan-out path.  Events
+    per second rather than raw wall time, so the value stays comparable
+    if the scenario's event count shifts.
     """
     trace = generate_trace(scenario_by_name(scenario))
-    config = DesRunConfig(
-        client_count=clients,
-        duration_s=duration_s,
-        delivery_backend=delivery,
-    )
+    config = DesRunConfig(client_count=clients, duration_s=duration_s)
 
     def one_run() -> float:
         result = run_trace_des(trace, config)
@@ -280,7 +264,6 @@ def bench_delivery_fanout(
         detail={
             "clients": float(clients),
             "duration_s": duration_s,
-            "vectorized": 1.0 if delivery == "vectorized" else 0.0,
             "samples": float(len(samples)),
         },
     )
@@ -457,11 +440,7 @@ def bench_ledger_overhead(
     points while the delivery lane itself is at its cheapest.
     """
     trace = generate_trace(scenario_by_name(scenario))
-    base_config = DesRunConfig(
-        client_count=clients,
-        duration_s=duration_s,
-        delivery_backend="vectorized",
-    )
+    base_config = DesRunConfig(client_count=clients, duration_s=duration_s)
     ledger_config = replace(base_config, ledger=True)
     frames_tracked = [0.0]
 
@@ -663,13 +642,6 @@ def run_benchmarks(
         bench_engine_throughput(
             events=10_000 if quick else 20_000,
             repeats=engine_reps,
-            queue="calendar",
-        ),
-        bench_engine_throughput(
-            events=10_000 if quick else 20_000,
-            repeats=engine_reps,
-            queue="heap",
-            name="engine_events_per_second_heap",
         ),
         bench_sweep_throughput(
             seeds=4 if quick else 8,
@@ -681,14 +653,6 @@ def run_benchmarks(
             clients=100 if quick else 200,
             duration_s=2.5 if quick else 5.0,
             repeats=min(reps, 2),
-            delivery="vectorized",
-        ),
-        bench_delivery_fanout(
-            clients=100 if quick else 200,
-            duration_s=2.5 if quick else 5.0,
-            repeats=1,  # the slow lane: one sample keeps the suite usable
-            delivery="reference",
-            name="delivery_fanout_events_per_second_reference",
         ),
         bench_obs_overhead(duration_s=4.0 if quick else 8.0, repeats=reps),
         bench_ledger_overhead(

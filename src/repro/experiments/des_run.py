@@ -36,9 +36,8 @@ from repro.obs.profiler import AttributionProfiler, ProfilerConfig
 from repro.obs.timeseries import TimeseriesRecorder, dtim_window_s
 from repro.obs.tracing import NULL_TRACER
 from repro.sim.engine import Simulator
-from repro.sim.eventq import QUEUE_KINDS
 from repro.sim.invariants import InvariantSuite
-from repro.sim.medium import DELIVERY_KINDS, Medium
+from repro.sim.medium import Medium
 from repro.station.client import Client, ClientConfig, ClientPolicy
 from repro.traces.trace import BroadcastTrace
 from repro.traces.usefulness import ports_for_target_fraction
@@ -58,9 +57,6 @@ _FINGERPRINT_EXCLUDED_METRICS = frozenset(
         "repro_sim_probes_fired_total",
     }
 )
-
-#: Backwards-compatible alias (pre-telemetry name).
-_WALL_CLOCK_METRICS = _FINGERPRINT_EXCLUDED_METRICS
 
 AP_MAC = MacAddress.from_string("02:aa:00:00:00:01")
 WIRED_SOURCE = MacAddress.from_string("02:bb:00:00:00:99")
@@ -139,21 +135,11 @@ class DesRunConfig:
     #: scrape endpoint. ``None`` disables both; the run's determinism
     #: fingerprint is identical either way.
     telemetry: Optional[TelemetryConfig] = None
-    #: Event-queue backend for the simulator: ``"heap"``, ``"calendar"``,
-    #: or ``None`` for the engine default. The backends are observably
-    #: identical (the fingerprint-identity tests pin it), so this is a
-    #: pure throughput knob.
-    queue_backend: Optional[str] = None
     #: Hot-path attribution profiling (``repro profile``). Like the
     #: telemetry stack, attaching it leaves the run's determinism
     #: fingerprint bit-identical — the profiler observes the host
     #: clock, never the simulation.
     profiler: Optional[ProfilerConfig] = None
-    #: Delivery backend for the medium: ``"reference"``,
-    #: ``"vectorized"``, or ``None`` for the medium default
-    #: (vectorized). Bit-identical pair (the delivery-equivalence suite
-    #: pins it), so — like ``queue_backend`` — a pure throughput knob.
-    delivery_backend: Optional[str] = None
     #: Attach the frame-lifecycle ledger (``--ledger-out``): per-frame
     #: buffering/delivery delay and per-client energy-attribution
     #: histograms. Reads only simulation time and settled state, so —
@@ -162,19 +148,6 @@ class DesRunConfig:
     ledger: bool = False
 
     def __post_init__(self) -> None:
-        if self.queue_backend is not None and self.queue_backend not in QUEUE_KINDS:
-            raise ConfigurationError(
-                f"unknown queue backend {self.queue_backend!r}; "
-                f"expected one of {QUEUE_KINDS}"
-            )
-        if (
-            self.delivery_backend is not None
-            and self.delivery_backend not in DELIVERY_KINDS
-        ):
-            raise ConfigurationError(
-                f"unknown delivery backend {self.delivery_backend!r}; "
-                f"expected one of {DELIVERY_KINDS}"
-            )
         if self.client_count < 1:
             raise ConfigurationError("need at least one client")
         if not 0.0 <= self.useful_fraction <= 1.0:
@@ -486,8 +459,7 @@ class PreparedDesRun:
             self.invariants.check_final()
         if self.ledger is not None:
             # After run(): the final sync hook has flushed the deferred
-            # RadioArray accrual, so both delivery lanes meter the same
-            # settled counters here.
+            # RadioArray accrual, so the ledger meters settled counters.
             self.ledger.finalize(
                 self.clients, self.config.profile, self.duration
             )
@@ -537,12 +509,8 @@ def prepare_trace_des(
     )
     injector = FaultInjector(active_plan) if active_plan is not None else None
 
-    simulator = Simulator(queue=config.queue_backend)
-    medium = Medium(
-        simulator,
-        fault_injector=injector,
-        delivery_backend=config.delivery_backend,
-    )
+    simulator = Simulator()
+    medium = Medium(simulator, fault_injector=injector)
     ap = AccessPoint(
         AP_MAC,
         medium,
@@ -559,8 +527,8 @@ def prepare_trace_des(
     if config.ledger:
         ledger = FrameLedger(clock=lambda: simulator.now)
         ap.ledger = ledger
-        # Both delivery lanes fire observers at the same per-frame
-        # point (after recipient fan-out, before on_complete).
+        # The medium fires observers once per frame, after recipient
+        # fan-out and before on_complete.
         medium.add_delivery_observer(ledger.on_delivery)
 
     useful_ports = ports_for_target_fraction(trace, config.useful_fraction)

@@ -32,13 +32,13 @@ def collect_simulator(sim, registry: Optional[MetricsRegistry] = None) -> Metric
     ).set(sim.pending_events)
     # queue_depth is the canonical series; heap_depth is the legacy
     # alias kept so pre-calendar dashboards and diff baselines survive.
-    # Both read Simulator.queue_depth, whichever backend is active.
+    # Both read Simulator.queue_depth.
     depth = getattr(sim, "queue_depth", None)
     if depth is None:
         depth = sim.heap_depth
     registry.gauge(
         "repro_sim_queue_depth",
-        "Event-queue entries including cancelled tombstones (any backend)",
+        "Event-queue entries including cancelled tombstones",
     ).set(depth)
     registry.gauge(
         "repro_sim_heap_depth",
@@ -107,24 +107,17 @@ def collect_profiler(
 def collect_delivery(
     medium, registry: Optional[MetricsRegistry] = None
 ) -> MetricsRegistry:
-    """Delivery-backend internals: slot columns and accrual batching.
+    """Delivery-lane internals: slot columns and accrual batching.
 
     Like :func:`collect_profiler`, these series describe the *machinery*
-    (which backend, how often the deferred accrual settled, fan-out
-    cache churn) rather than the protocol, so they are only ever pulled
-    into live-scrape registries — never the end-of-run collection that
+    (how often the deferred accrual settled, fan-out cache churn)
+    rather than the protocol, so they are only ever pulled into
+    live-scrape registries — never the end-of-run collection that
     determinism fingerprints hash.  Reads state without settling it, so
     it is safe from scrape threads.
     """
     registry = registry if registry is not None else default_registry()
-    registry.gauge(
-        "repro_delivery_backend_info",
-        "Active delivery backend (constant 1, labelled)",
-        labels={"backend": medium.delivery_kind},
-    ).set(1.0)
-    radios = getattr(medium, "radio_array", None)
-    if radios is None:
-        return registry
+    radios = medium.radio_array
     registry.gauge(
         "repro_delivery_slots", "Client radio slots currently bound"
     ).set(float(len(radios)))

@@ -22,10 +22,10 @@ energy models, so one document carries both sides of the tradeoff.
 Determinism rules, mirroring the tracer and profiler:
 
 * Every recorded value is **simulation time** read through the clock
-  the wiring supplies, never wall clock — so the reference and
-  vectorized delivery lanes, and both event-queue backends, produce
-  bit-identical ledgers (delivery events pop in (time, seq) order,
-  which both lanes share).
+  the wiring supplies, never wall clock — so the production delivery
+  lane and event queue produce ledgers bit-identical to the test
+  oracles' (delivery events pop in (time, seq) order, which every lane
+  shares).
 * The ledger only *reads* simulator/AP/table state. It must never bump
   a fingerprinted counter: port classification goes through
   :meth:`~repro.ap.port_table.ClientUdpPortTable.has_subscribers`,
@@ -90,8 +90,8 @@ class FrameLedger:
     * ``access_point.ledger = ledger`` — the AP reports enqueue,
       buffer-capacity drops, immediate sends, and DTIM drains.
     * ``medium.add_delivery_observer(ledger.on_delivery)`` — the Medium
-      reports every delivery event (both lanes fire observers at the
-      same point, after recipient fan-out).
+      reports every delivery event (observers fire once per frame,
+      after recipient fan-out).
     * ``ledger.finalize(clients, profile, duration_s)`` after the run.
     """
 

@@ -1,10 +1,9 @@
-"""The event loop: a monotonic clock over a pluggable event queue.
+"""The event loop: a monotonic clock over the calendar event queue.
 
-The queue contract and both backends (reference binary heap, bucketed
-calendar queue) live in :mod:`repro.sim.eventq`; this module owns event
-semantics — total order, cancellation, recurring timers, observer
-probes — and the fused run loop that pops records without a method call
-per event.
+The queue contract and the calendar queue live in
+:mod:`repro.sim.eventq`; this module owns event semantics — total
+order, cancellation, recurring timers, observer probes — and the fused
+run loop that pops records without a method call per event.
 
 Events at equal times fire in (priority, insertion) order.  An event
 record is a 6-slot list ``[time, priority, sequence, callback,
@@ -26,10 +25,10 @@ from __future__ import annotations
 import math
 import time as _time
 from heapq import heappop, heappush
-from typing import Any, Callable, List, Optional, Union
+from typing import Any, Callable, List, Optional
 
 from repro.errors import SimulationError
-from repro.sim.eventq import make_queue
+from repro.sim.eventq import CalendarEventQueue
 
 _INF = float("inf")
 
@@ -112,17 +111,16 @@ class Simulator:
     Events at equal times fire in (priority, insertion order). Lower
     priority values fire first; the default priority is 0.
 
-    ``queue`` selects the scheduling backend: ``"calendar"`` (default;
-    the bucketed calendar queue tuned to the beacon-period event mix),
-    ``"heap"`` (the reference binary heap), or a pre-built queue object.
-    The two backends are observably identical — the differential suite
-    and the fingerprint-identity tests pin that — so the choice is
-    purely a throughput knob.
+    ``queue`` is a pre-built queue object honouring the
+    :mod:`repro.sim.eventq` contract; the default is a
+    :class:`~repro.sim.eventq.CalendarEventQueue`.  It is the seam the
+    differential tests use to run the same schedule on a binary-heap
+    oracle.
     """
 
-    def __init__(self, queue: Union[str, Any, None] = None) -> None:
+    def __init__(self, queue: Optional[Any] = None) -> None:
         self._now = 0.0
-        self._queue = make_queue(queue)
+        self._queue = CalendarEventQueue() if queue is None else queue
         self._push = self._queue.push
         self._sequence = 0
         self._events_processed = 0
@@ -142,7 +140,7 @@ class Simulator:
 
     @property
     def queue_kind(self) -> str:
-        """Which event-queue backend is active (``heap``/``calendar``)."""
+        """The active event queue's ``kind`` (``calendar`` in production)."""
         return self._queue.kind
 
     @property
@@ -195,8 +193,8 @@ class Simulator:
         The profiler is an *observer of the host clock only*: it wraps
         callback invocation with wall timing but adds, removes, and
         reorders nothing, so same-seed fingerprints are identical with
-        or without it.  When no profiler is attached, ``run()`` takes
-        the original fused loop — detached profiling costs zero.
+        or without it.  Detached, the run loop pays one ``is None`` test
+        per event for it.
         """
         if self._running:
             raise SimulationError("cannot attach a profiler mid-run")
@@ -362,8 +360,8 @@ class Simulator:
         everything downstream of them: timeseries windows, live
         telemetry samples — observe fully settled state), at the end of
         every :meth:`step`, and when :meth:`run` returns.  Subsystems
-        that defer per-event work into batched updates (the vectorized
-        delivery backend's energy accrual) register here so the deferral
+        that defer per-event work into batched updates (the medium's
+        deferred energy accrual) register here so the deferral
         is invisible at every externally observable boundary.
         """
         self._sync_hooks.append(hook)
@@ -445,13 +443,23 @@ class Simulator:
         When ``until`` is given, the clock is advanced to exactly
         ``until`` at the end even if the last event fired earlier, so
         measures normalized by elapsed time are well-defined.
+
+        With a profiler attached, the loop times callbacks inline: every
+        ``stride``-th event (every event in exact mode, whose stride is
+        1) is wrapped in ``perf_counter`` and charged to its site.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
-        if self._profiler is not None:
-            return self._run_profiled(until, max_events)
+        prof = self._profiler
+        if prof is not None:
+            stride = prof.stride
+            skip = prof._skip
+            resolve = prof._resolve
+            prof_events0 = prof.events_seen - self._events_processed
+            prof_wall0 = prof.run_wall_s
+        perf = _time.perf_counter
         self._running = True
-        wall_start = _time.perf_counter()
+        wall_start = perf()
         queue = self._queue
         near = queue.near
         advance = queue.advance
@@ -484,7 +492,22 @@ class Simulator:
                         continue
                     self._now = event_time
                     processed += 1
-                    record[3]()
+                    if prof is None:
+                        record[3]()
+                    else:
+                        skip -= 1
+                        if skip <= 0:
+                            callback = record[3]
+                            t0 = perf()
+                            callback()
+                            elapsed = perf() - t0
+                            stats = resolve(callback, record[5])
+                            stats[3] += 1
+                            stats[4] += 1
+                            stats[5] += elapsed
+                            skip = stride
+                        else:
+                            record[3]()
                     interval = record[5]
                     if interval is not None and not record[4]:
                         next_time = event_time + interval
@@ -503,153 +526,23 @@ class Simulator:
                 if blocked_at is None:
                     if advance(limit) is not None:
                         continue  # fresh events merged into `near`
-                    # Nothing left at or before the limit.
-                    if until is not None:
-                        self._events_processed = processed
-                        self._fire_probes_until(until)
-                        if until > self._now:
-                            self._now = until
-                    return
-                if blocked_at > limit:
-                    # Next event is beyond the horizon: trailing probes,
-                    # then leave the event queued for a later run().
-                    self._events_processed = processed
+                    if until is None:
+                        return  # drained; the exit sync is in `finally`
+                # Sync the counters before every probe batch, so probes
+                # (and a live ``/profile`` scrape) see exact counts.
+                self._events_processed = processed
+                if prof is not None:
+                    prof.events_seen = prof_events0 + processed
+                    prof.run_wall_s = prof_wall0 + (perf() - wall_start)
+                if blocked_at is None or blocked_at > limit:
+                    # Horizon: nothing left at or before ``until``. Fire
+                    # trailing probes and leave later events queued.
                     self._fire_probes_until(limit)
-                    if until is not None and until > self._now:
+                    if until > self._now:
                         self._now = until
                     return
                 # Probe boundary: fire everything due through the
                 # blocking event's timestamp, then resume the fast loop.
-                self._events_processed = processed
-                self._fire_probes_until(blocked_at)
-        finally:
-            self._events_processed = processed
-            for hook in self._sync_hooks:
-                hook()
-            self._run_wall_time += _time.perf_counter() - wall_start
-            self._running = False
-
-    def _run_profiled(
-        self, until: Optional[float], max_events: int
-    ) -> None:
-        """:meth:`run` with the attached profiler's attribution inlined.
-
-        A structural twin of the fused loop above — same pops, same
-        probe boundaries, same recurring re-arm, same counter sync
-        points — so event order and counts are bit-identical to the
-        unprofiled loop; the only addition is wall timing around
-        ``record[3]()``.  Kept as a separate loop so the detached fast
-        path above never pays even a per-event branch.
-        """
-        prof = self._profiler
-        exact = prof.mode == "exact"
-        stride = prof.stride
-        skip = prof._skip
-        resolve = prof._resolve
-        perf = _time.perf_counter
-        self._running = True
-        wall_start = perf()
-        queue = self._queue
-        near = queue.near
-        advance = queue.advance
-        push = queue.push
-        pop = heappop
-        hpush = heappush
-        limit = _INF if until is None else until
-        processed = self._events_processed
-        processed_limit = processed + max_events
-        # Profiler counters sync at the same boundaries as
-        # ``_events_processed`` (probes + exit), so a live ``/profile``
-        # scrape mid-run is at most one probe interval stale.
-        synced = processed
-        wall_synced = 0.0
-        try:
-            while True:
-                probe_due = self._next_probe_due
-                if probe_due <= limit:
-                    inner_limit = math.nextafter(probe_due, -_INF)
-                else:
-                    inner_limit = limit
-                blocked_at: Optional[float] = None
-                while near:
-                    record = near[0]
-                    event_time = record[0]
-                    if event_time > inner_limit:
-                        blocked_at = event_time
-                        break
-                    pop(near)
-                    if record[4]:
-                        continue
-                    self._now = event_time
-                    processed += 1
-                    callback = record[3]
-                    if exact:
-                        t0 = perf()
-                        callback()
-                        elapsed = perf() - t0
-                        stats = resolve(callback, record[5])
-                        stats[3] += 1
-                        stats[4] += 1
-                        stats[5] += elapsed
-                    else:
-                        skip -= 1
-                        if skip <= 0:
-                            t0 = perf()
-                            callback()
-                            elapsed = perf() - t0
-                            stats = resolve(callback, record[5])
-                            stats[3] += 1
-                            stats[4] += 1
-                            stats[5] += elapsed
-                            skip = stride
-                        else:
-                            callback()
-                    interval = record[5]
-                    if interval is not None and not record[4]:
-                        next_time = event_time + interval
-                        record[0] = next_time
-                        sequence = self._sequence
-                        self._sequence = sequence + 1
-                        record[2] = sequence
-                        if next_time < queue.near_end:
-                            hpush(near, record)
-                        else:
-                            push(record)
-                    if processed > processed_limit:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events}; runaway schedule?"
-                        )
-                if blocked_at is None:
-                    if advance(limit) is not None:
-                        continue
-                    if until is not None:
-                        self._events_processed = processed
-                        prof.events_seen += processed - synced
-                        synced = processed
-                        wall_now = perf() - wall_start
-                        prof.run_wall_s += wall_now - wall_synced
-                        wall_synced = wall_now
-                        self._fire_probes_until(until)
-                        if until > self._now:
-                            self._now = until
-                    return
-                if blocked_at > limit:
-                    self._events_processed = processed
-                    prof.events_seen += processed - synced
-                    synced = processed
-                    wall_now = perf() - wall_start
-                    prof.run_wall_s += wall_now - wall_synced
-                    wall_synced = wall_now
-                    self._fire_probes_until(limit)
-                    if until is not None and until > self._now:
-                        self._now = until
-                    return
-                self._events_processed = processed
-                prof.events_seen += processed - synced
-                synced = processed
-                wall_now = perf() - wall_start
-                prof.run_wall_s += wall_now - wall_synced
-                wall_synced = wall_now
                 self._fire_probes_until(blocked_at)
         finally:
             self._events_processed = processed
@@ -657,7 +550,8 @@ class Simulator:
                 hook()
             elapsed_wall = perf() - wall_start
             self._run_wall_time += elapsed_wall
-            prof._skip = skip
-            prof.events_seen += processed - synced
-            prof.run_wall_s += elapsed_wall - wall_synced
+            if prof is not None:
+                prof._skip = skip
+                prof.events_seen = prof_events0 + processed
+                prof.run_wall_s = prof_wall0 + elapsed_wall
             self._running = False

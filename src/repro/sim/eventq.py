@@ -1,15 +1,18 @@
-"""Pluggable event queues for the DES kernel.
+"""The DES kernel's event queue: a bucketed calendar queue.
 
-The simulator's hot loop consumes a queue through a deliberately tiny
-contract (see :class:`HeapEventQueue` for the reference semantics):
+The simulator's hot loop consumes the queue through a deliberately tiny
+contract:
 
 ``near``
     A plain-list binary heap of *event records* that are due soon.  The
     run loop pops it directly with :func:`heapq.heappop` — no method
     call per event.
+``near_end``
+    Every record with ``time < near_end`` belongs in ``near``, so the
+    simulator can inline the common due-soon push as one compare plus a
+    :func:`heapq.heappush`.
 ``push(record)``
-    Insert a record.  O(log n) for the heap backend; amortized O(1) for
-    the calendar backend.
+    Insert a record in amortized O(1).
 ``advance(limit)``
     Called only when ``near`` has drained.  Move the next batch of
     records into ``near`` and return the earliest known event time if it
@@ -28,24 +31,26 @@ loop indexes fields without attribute lookups::
 callback field.  ``interval_or_None`` makes recurring timers a run-loop
 re-arm (reuse the popped record) instead of a closure per firing.
 
-Cancellation is lazy everywhere: cancelling flips ``record[4]`` and the
-record is skipped when popped, keeping cancel O(1) with no queue search.
+Cancellation is lazy: cancelling flips ``record[4]`` and the record is
+skipped when popped, keeping cancel O(1) with no queue search.
 
-The calendar backend (:class:`CalendarEventQueue`) is the classic
-bucketed calendar queue / timer wheel (R. Brown, CACM 1988) shaped for
-this workload: a *near* heap holds only the events inside the current
-bucket window, so its depth stays tiny no matter how many far-future
-timers exist — the exact case (thousands of keep-alive/TTL timers per
-fleet) where a single binary heap degrades to deep-sift O(log n) with a
-large constant.  Pushes beyond the window are plain list appends into a
-wheel bucket; a bucket is merged into the near heap wholesale
-(``extend`` + ``heapify``, both C) only when the cursor reaches it.
+:class:`CalendarEventQueue` is the classic bucketed calendar queue /
+timer wheel (R. Brown, CACM 1988) shaped for this workload: a *near*
+heap holds only the events inside the current bucket window, so its
+depth stays tiny no matter how many far-future timers exist — the exact
+case (thousands of keep-alive/TTL timers per fleet) where a single
+binary heap degrades to deep-sift O(log n) with a large constant.
+Pushes beyond the window are plain list appends into a wheel bucket; a
+bucket is merged into the near heap wholesale (``extend`` + ``heapify``,
+both C) only when the cursor reaches it.  A single binary heap holding
+everything is kept in ``tests/sim/oracles.py`` as the differential
+oracle the calendar queue is checked against.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Any, List, Optional, Union
+from typing import List, Optional
 
 from repro.errors import SimulationError
 
@@ -62,43 +67,12 @@ DEFAULT_BUCKET_WIDTH_S = 0.0512
 DEFAULT_NUM_BUCKETS = 256
 
 
-class HeapEventQueue:
-    """The reference implementation: one binary heap holds everything.
-
-    ``near`` *is* the queue, so ``advance`` is always a no-op returning
-    ``None`` — by the time the run loop calls it, the heap has drained.
-    """
-
-    kind = "heap"
-
-    #: The near window never closes: every record belongs in ``near``.
-    #: A class attribute (not per-instance) so the simulator's inlined
-    #: ``time < queue.near_end`` fast path works for both backends.
-    near_end = float("inf")
-
-    __slots__ = ("near",)
-
-    def __init__(self) -> None:
-        self.near: List[list] = []
-
-    def push(self, record: list) -> None:
-        if not record[0] < self.near_end:  # rejects +inf and NaN
-            raise SimulationError(f"event time must be finite: {record[0]}")
-        heappush(self.near, record)
-
-    def advance(self, limit: float) -> Optional[float]:
-        return None
-
-    def depth(self) -> int:
-        return len(self.near)
-
-
 class CalendarEventQueue:
     """A bucketed calendar queue with a near-heap for the active window.
 
     Invariants (the differential suite in
     ``tests/property/test_eventq_equivalence.py`` exercises all of
-    them against :class:`HeapEventQueue`):
+    them against the binary-heap oracle):
 
     * every record with ``time < near_end`` lives in ``near``;
     * wheel buckets hold only records of the *current* rotation
@@ -251,29 +225,3 @@ class CalendarEventQueue:
 
     def depth(self) -> int:
         return len(self.near) + self._wheel_count + len(self._overflow)
-
-
-#: The queue the simulator builds when none is specified.
-DEFAULT_QUEUE_KIND = "calendar"
-
-QUEUE_KINDS = ("heap", "calendar")
-
-
-def make_queue(kind: Union[str, Any, None] = None):
-    """Build (or pass through) an event queue.
-
-    ``kind`` may be ``"heap"``, ``"calendar"``, ``None`` (the default
-    backend), or an already-constructed queue object, which is returned
-    as-is so tests can inject tuned instances.
-    """
-    if kind is None:
-        kind = DEFAULT_QUEUE_KIND
-    if not isinstance(kind, str):
-        return kind
-    if kind == "heap":
-        return HeapEventQueue()
-    if kind == "calendar":
-        return CalendarEventQueue()
-    raise SimulationError(
-        f"unknown event queue kind {kind!r}; expected one of {QUEUE_KINDS}"
-    )

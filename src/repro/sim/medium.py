@@ -33,16 +33,6 @@ from repro.units import us
 if TYPE_CHECKING:
     from repro.faults.injector import FaultInjector
 
-#: Delivery-backend seam, mirroring the Heap/Calendar split in
-#: :mod:`repro.sim.eventq`: ``reference`` hands every frame to every
-#: attached entity; ``vectorized`` routes through the struct-of-arrays
-#: fast lane in :mod:`repro.sim.radio_array`.  The two are bit-identical
-#: (fingerprints, .prom snapshots, trace sequences) — pinned by
-#: ``tests/property/test_delivery_equivalence.py`` — so the choice is
-#: purely a throughput knob.
-DELIVERY_KINDS = ("reference", "vectorized")
-DEFAULT_DELIVERY_KIND = "vectorized"
-
 #: 802.11b long-preamble PHY overhead: 192 bits at 1 Mb/s = 192 µs.
 PHY_OVERHEAD_S = us(192)
 
@@ -87,7 +77,6 @@ class Medium:
         loss_probability: float = 0.0,
         loss_seed: int = 0,
         fault_injector: Optional["FaultInjector"] = None,
-        delivery_backend: Optional[str] = None,
     ) -> None:
         """``loss_probability`` drops each non-beacon frame independently
         with that probability (failure injection for retransmission
@@ -99,20 +88,10 @@ class Medium:
         a seeded :class:`~repro.faults.plan.FaultPlan` with per-kind
         loss (including an explicit beacon-loss knob), per-kind drop
         accounting, and bounded delivery-clock jitter.
-
-        ``delivery_backend`` selects ``"vectorized"`` (default) or
-        ``"reference"`` — see :data:`DELIVERY_KINDS`.
         """
         if not 0.0 <= loss_probability < 1.0:
             raise SimulationError(
                 f"loss probability must be in [0, 1): {loss_probability}"
-            )
-        kind = (
-            DEFAULT_DELIVERY_KIND if delivery_backend is None else delivery_backend
-        )
-        if kind not in DELIVERY_KINDS:
-            raise SimulationError(
-                f"unknown delivery backend {kind!r}; expected one of {DELIVERY_KINDS}"
             )
         self._simulator = simulator
         self._entities: List[Entity] = []
@@ -141,9 +120,8 @@ class Medium:
         self._queue_wait_accum = 0.0
         self._frames_queued = 0
         self._delivery_observers: List[Callable[[Transmission, bool], None]] = []
-        self._delivery_kind = kind
-        #: Slot-indexed radio columns (vectorized backend only).
-        self._radios: Optional[RadioArray] = None
+        #: Slot-indexed radio columns: every client with a radio slot.
+        self._radios = RadioArray()
         #: Entities without a radio slot (the AP, test doubles), in
         #: attach order, plus their indices into ``_targets`` — the
         #: recipients of client-originated and unaddressed frames.
@@ -158,21 +136,11 @@ class Medium:
         self._fanout: Tuple[Entity, ...] = ()
         self._fanout_stamp: Tuple[int, int] = (-1, -1)
         self._fanout_rebuilds = 0
-        if kind == "vectorized":
-            self._radios = RadioArray()
-            self._drain = self._drain_deliveries_vector
-            simulator.add_sync_hook(self.sync_accounting)
-        else:
-            self._drain = self._drain_deliveries
+        simulator.add_sync_hook(self.sync_accounting)
 
     @property
-    def delivery_kind(self) -> str:
-        """Which delivery backend is active (``reference``/``vectorized``)."""
-        return self._delivery_kind
-
-    @property
-    def radio_array(self) -> Optional[RadioArray]:
-        """The slot-state columns, or ``None`` on the reference backend."""
+    def radio_array(self) -> RadioArray:
+        """The slot-state columns behind the delivery fast lane."""
         return self._radios
 
     @property
@@ -236,10 +204,8 @@ class Medium:
         self._entities.append(entity)
         self._targets = tuple(self._entities)
         self._order_epoch += 1
-        radios = self._radios
-        if radios is not None and hasattr(entity, "radio_broadcast_state"):
-            slot = radios.allocate(entity)
-            entity.bind_radio(radios, slot)
+        if hasattr(entity, "radio_broadcast_state"):
+            entity.bind_radio(self._radios, self._radios.allocate(entity))
         if not entity.is_attached:
             entity.attach(self._simulator)
 
@@ -254,8 +220,8 @@ class Medium:
         settles and frees the client's slot immediately, while the
         in-flight ``(deliver_at, sequence, transmission)`` snapshots are
         untouched — the remaining same-tick frames recompute their
-        recipient sets and simply skip the departed radio, exactly as
-        the reference path's per-frame ``_targets`` read does.
+        recipient sets and simply skip the departed radio, exactly as a
+        per-frame read of ``_targets`` would.
         """
         try:
             self._entities.remove(entity)
@@ -263,23 +229,19 @@ class Medium:
             raise SimulationError(f"{entity!r} is not attached to medium")
         self._targets = tuple(self._entities)
         self._order_epoch += 1
-        radios = self._radios
-        if radios is not None and entity in radios.slot_of:
-            radios.release(entity)
+        if entity in self._radios.slot_of:
+            self._radios.release(entity)
             entity.unbind_radio()
 
     def sync_accounting(self) -> None:
         """Settle deferred per-client accrual into client counters.
 
         Registered as an engine sync hook (probe boundaries, run exit,
-        every step) on the vectorized backend; a no-op on the reference
-        backend, whose accrual is already per-event.  Anything reading
-        client counters *outside* those boundaries — the invariant
-        suite's mid-run checks, tests poking counters between manual
-        drains — calls this first.
+        every step).  Anything reading client counters *outside* those
+        boundaries — the invariant suite's mid-run checks, tests poking
+        counters between manual drains — calls this first.
         """
-        if self._radios is not None:
-            self._radios.flush()
+        self._radios.flush()
 
     def is_attached(self, entity: Entity) -> bool:
         return entity in self._entities
@@ -343,7 +305,7 @@ class Medium:
         sequence = self._inflight_sequence
         self._inflight_sequence = sequence + 1
         heappush(self._inflight, (deliver_at, sequence, transmission, on_complete))
-        self._simulator.post_at(deliver_at, self._drain)
+        self._simulator.post_at(deliver_at, self._drain_deliveries)
 
     def _drain_deliveries(self) -> None:
         """Deliver every in-flight frame due at or before the clock.
@@ -365,57 +327,15 @@ class Medium:
         transmission: Transmission,
         on_complete: Optional[Callable[[Transmission], None]],
     ) -> None:
-        frame = transmission.frame
-        sender = transmission.sender
-        self._transmissions_completed += 1
-        dropped = False
-        if self._fault_injector is not None:
-            dropped = self._fault_injector.should_drop(frame)
-        elif self._loss_probability > 0.0 and not _is_beacon(frame):
-            dropped = self._loss_rng.random() < self._loss_probability
-        if dropped:
-            self._frames_dropped += 1
-        else:
-            for entity in self._targets:
-                if entity is not sender:
-                    entity.on_receive(transmission)
-        for observer in self._delivery_observers:
-            observer(transmission, dropped)
-        if dropped:
-            return  # frame corrupted on air: nobody decodes it
-        if on_complete is not None:
-            on_complete(transmission)
-
-    # -- vectorized fast lane ---------------------------------------------
-
-    def _drain_deliveries_vector(self) -> None:
-        """Vectorized twin of :meth:`_drain_deliveries`.
-
-        Identical pop order and per-frame processing; only the recipient
-        computation inside :meth:`_deliver_vector` differs.  A distinct
-        bound method so the attribution profiler reports the two lanes
-        as separate sites.
-        """
-        now = self._simulator.now
-        inflight = self._inflight
-        while inflight and inflight[0][0] <= now:
-            _, _, transmission, on_complete = heappop(inflight)
-            self._deliver_vector(transmission, on_complete)
-
-    def _deliver_vector(
-        self,
-        transmission: Transmission,
-        on_complete: Optional[Callable[[Transmission], None]],
-    ) -> None:
         """Deliver one frame through the slot-routed fast lane.
 
         Per-frame-class routing; every route is observably identical to
-        the reference everyone-receives loop, skipping a client only
-        when its ``on_receive`` is provably a no-op for the frame kind
-        (see :mod:`repro.sim.radio_array` route notes).  Recipient sets
-        are recomputed per frame against live ``_targets``/mask state,
-        so same-tick attach/detach between two frames behaves exactly
-        like the reference per-frame ``_targets`` read.
+        handing the frame to every attached entity but the sender,
+        skipping a client only when its ``on_receive`` is provably a
+        no-op for the frame kind (see :mod:`repro.sim.radio_array`
+        route notes).  Recipient sets are recomputed per frame against
+        live ``_targets``/mask state, so same-tick attach/detach between
+        two frames behaves exactly like a per-frame ``_targets`` read.
         """
         frame = transmission.frame
         sender = transmission.sender
@@ -458,7 +378,7 @@ class Medium:
                 self._deliver_addressed(transmission, sender, frame.receiver)
             elif route == ROUTE_SINGLE_DEST:
                 self._deliver_addressed(transmission, sender, frame.destination)
-            else:  # beacons + unknown frame classes: the reference loop
+            else:  # beacons + unknown frame classes: everyone receives
                 for entity in self._targets:
                     if entity is not sender:
                         entity.on_receive(transmission)
@@ -474,9 +394,9 @@ class Medium:
     ) -> None:
         """Deliver a singly-addressed frame (Ack, unicast, response).
 
-        Recipients: every nonvector entity (they see all traffic, like
-        the reference) plus the one addressed client — merged at its
-        attach position so callback order matches the reference loop.
+        Recipients: every nonvector entity (they see all traffic) plus
+        the one addressed client — merged at its attach position so
+        callback order matches attach order.
         The addressed client goes through :meth:`Entity.deliver_many`,
         the batched dispatch point of the fast lane.
         """

@@ -174,8 +174,8 @@ class Client(Entity):
         #: Unknown-state fallback: when True the radio behaves like
         #: receive-all until the next DTIM resynchronizes it.
         self._conservative_listen = False
-        #: Slot-state mirror for the vectorized delivery backend; None
-        #: under the reference backend (every hook is one None check).
+        #: Slot-state mirror in the medium's radio array; None while the
+        #: client has no medium slot (every hook is one None check).
         self._radio = None
         self._radio_slot = -1
         self._beacon_watchdog: Optional[EventHandle] = None
@@ -224,7 +224,7 @@ class Client(Entity):
     def bind_radio(self, radios, slot: int) -> None:
         """Mirror this radio into the medium's slot columns.
 
-        Called by the vectorized medium on attach; every subsequent
+        Called by the medium on attach; every subsequent
         mutation of doze/receive-all state, AID, or the socket table
         refreshes the mirror via :meth:`_notify_radio`.
         """

@@ -26,6 +26,7 @@ from repro.faults import FaultPlan
 from repro.sim.radio_array import RadioArray
 from repro.station.client import ClientCounters
 from repro.traces import generate_trace
+from tests.sim.oracles import oracle_lanes
 
 
 class _StubRadio:
@@ -76,7 +77,6 @@ class TestFullDesConservation:
                 client_count=clients,
                 duration_s=duration,
                 check_invariants=True,
-                delivery_backend="vectorized",
             ),
         )
         result.close()
@@ -221,16 +221,16 @@ class TestMidWindowRelease:
         runs = {}
         for backend in ("reference", "vectorized"):
             trace = generate_trace("Classroom", seed=9)
-            result = run_trace_des(
-                trace,
-                DesRunConfig(
-                    client_count=8,
-                    duration_s=8.0,
-                    fault_plan=plan,
-                    check_invariants=True,
-                    delivery_backend=backend,
-                ),
-            )
+            with oracle_lanes(reference=backend == "reference"):
+                result = run_trace_des(
+                    trace,
+                    DesRunConfig(
+                        client_count=8,
+                        duration_s=8.0,
+                        fault_plan=plan,
+                        check_invariants=True,
+                    ),
+                )
             result.close()
             runs[backend] = result
         crashed = [c for c in runs["vectorized"].clients if c.counters.crashes]

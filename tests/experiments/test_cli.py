@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _des_config, build_parser, main
+from repro.experiments.des_run import DesRunConfig
+from repro.station.client import ClientPolicy
 
 
 class TestTraceCommands:
@@ -93,3 +95,26 @@ class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main(["trace"])
+
+    @pytest.mark.parametrize(
+        "argv, duration_s",
+        [
+            (["sim", "run", "Classroom"], 60.0),
+            (["sweep", "Classroom"], 10.0),
+            (["profile", "Classroom"], 60.0),
+        ],
+        ids=["sim-run", "sweep", "profile"],
+    )
+    def test_shared_run_flag_defaults(self, argv, duration_s):
+        args = build_parser().parse_args(argv)
+        assert (
+            args.policy, args.clients, args.fraction,
+            args.duration, args.dtim_period,
+        ) == ("hide", 3, 0.10, duration_s, 1)
+        assert _des_config(args) == DesRunConfig(
+            policy=ClientPolicy.HIDE,
+            client_count=3,
+            useful_fraction=0.10,
+            duration_s=duration_s,
+            dtim_period=1,
+        )

@@ -3,7 +3,8 @@
 Attaching an :class:`AttributionProfiler` adds no events, removes none,
 and reorders none — so the same seeded scenario must produce the exact
 same determinism fingerprint with profiling off, in exact mode, and in
-sampling mode, on both queue backends. These tests pin that, plus the
+sampling mode, on the calendar queue and the heap oracle. These tests
+pin that, plus the
 attribution-sum acceptance check (per-site wall + scheduler overhead
 reconstructs the run wall) and the ``repro profile`` CLI surface.
 """
@@ -15,18 +16,17 @@ import pytest
 from repro.experiments.des_run import DesRunConfig, run_trace_des
 from repro.obs.profiler import PROFILE_SCHEMA, ProfilerConfig
 from repro.traces import generate_trace, scenario_by_name
+from tests.sim.oracles import oracle_lanes
 
 _DURATION_S = 12.0
 
 
 def _fingerprint(trace, queue, profiler):
     config = DesRunConfig(
-        client_count=3,
-        duration_s=_DURATION_S,
-        queue_backend=queue,
-        profiler=profiler,
+        client_count=3, duration_s=_DURATION_S, profiler=profiler
     )
-    result = run_trace_des(trace, config)
+    with oracle_lanes(heap=queue == "heap"):
+        result = run_trace_des(trace, config)
     try:
         return result.deterministic_fingerprint(), result
     finally:

@@ -1,19 +1,14 @@
-"""Fingerprint identity across event-queue backends.
+"""Fingerprint identity between the calendar queue and the heap oracle.
 
-The calendar queue earns its place as the default by being *bit-
-identical* to the reference heap under the full protocol stack: same
-deterministic fingerprint, same Prometheus export, same windowed
-timeseries — under fault injection, crash/rejoin recovery, and
-streaming telemetry all at once. ``repro obs diff`` is exercised both
-as a library and through the CLI, because the CI gate runs the CLI.
+The calendar queue earns its place as the production queue by being
+*bit-identical* to the binary-heap oracle (``tests/sim/oracles.py``)
+under the full protocol stack: same deterministic fingerprint, same
+Prometheus export, same windowed timeseries — under fault injection,
+crash/rejoin recovery, and streaming telemetry all at once.
+``repro obs diff`` is exercised both as a library and through the CLI.
 """
 
-import json
-
-import pytest
-
 from repro.cli import main as cli_main
-from repro.errors import ConfigurationError
 from repro.experiments.des_run import (
     DesRunConfig,
     TelemetryConfig,
@@ -23,11 +18,12 @@ from repro.faults import FaultPlan
 from repro.obs import format_for_path, write_metrics
 from repro.obs.diff import diff_files
 from repro.traces import generate_trace
+from tests.sim.oracles import oracle_lanes
 
 _PLAN = FaultPlan.parse("loss=0.08,beacon=0.01,seed=11,crash=0@2:5")
 
 
-def _run(queue_backend, tmp_path, tag, telemetry=True):
+def _run(queue, tmp_path, tag, telemetry=True):
     trace = generate_trace("Starbucks", seed=7)
     config = DesRunConfig(
         client_count=3,
@@ -35,9 +31,9 @@ def _run(queue_backend, tmp_path, tag, telemetry=True):
         fault_plan=_PLAN,
         check_invariants=True,
         telemetry=TelemetryConfig(window="dtim") if telemetry else None,
-        queue_backend=queue_backend,
     )
-    result = run_trace_des(trace, config)
+    with oracle_lanes(heap=queue == "heap"):
+        result = run_trace_des(trace, config)
     result.close()
     prom = tmp_path / f"{tag}.prom"
     write_metrics(result.collect_metrics(), str(prom), format_for_path(str(prom)))
@@ -97,7 +93,7 @@ class TestBackendIdentity:
         capsys.readouterr()
 
     def test_telemetry_does_not_change_fingerprint(self, tmp_path):
-        """Attaching the streaming stack never perturbs either backend."""
+        """Attaching the streaming stack never perturbs either queue."""
         for backend in ("heap", "calendar"):
             with_telemetry, _, _ = _run(backend, tmp_path, f"{backend}_t", True)
             without, _, _ = _run(backend, tmp_path, f"{backend}_q", False)
@@ -112,10 +108,6 @@ class TestBackendIdentity:
             text = prom.read_text()
             assert "repro_sim_queue_depth" in text
             assert "repro_sim_heap_depth" in text
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            DesRunConfig(queue_backend="splay-tree")
 
 
 class TestSweepWorkerIdentity:
@@ -135,16 +127,17 @@ class TestSweepWorkerIdentity:
         assert serial["totals"] == sharded["totals"]
 
     def test_sweep_backends_agree(self):
+        """Forked sweep workers inherit the oracle patch."""
         from repro.experiments.sweep import SweepSpec, run_sweep
 
-        def fingerprint(backend):
-            spec = SweepSpec(
-                scenarios=("Starbucks",),
-                seeds=(0, 1),
-                config=DesRunConfig(
-                    client_count=2, duration_s=3.0, queue_backend=backend
-                ),
-            )
-            return run_sweep(spec, workers=2)["merged_fingerprint"]
-
-        assert fingerprint("heap") == fingerprint("calendar")
+        spec = SweepSpec(
+            scenarios=("Starbucks",),
+            seeds=(0, 1),
+            config=DesRunConfig(client_count=2, duration_s=3.0),
+        )
+        calendar = run_sweep(spec, workers=2)
+        with oracle_lanes(heap=True):
+            heap = run_sweep(spec, workers=2)
+        assert {run["queue_kind"] for run in heap["runs"]} == {"heap"}
+        assert {run["queue_kind"] for run in calendar["runs"]} == {"calendar"}
+        assert heap["merged_fingerprint"] == calendar["merged_fingerprint"]

@@ -297,3 +297,40 @@ class TestEngineHooks:
         report = profiler.report()
         # The scaled estimate lands within one stride of the truth.
         assert abs(report["events_attributed"] - profiler.events_seen) <= 5
+
+    @pytest.mark.parametrize(
+        "config",
+        [ProfilerConfig(mode="exact"), ProfilerConfig(mode="sampling", stride=3)],
+        ids=["exact", "sampling"],
+    )
+    def test_counters_sync_at_probe_boundaries(self, config):
+        """Probes (and a live ``/profile`` scrape) see exact counters.
+
+        The run loop keeps its counts in locals and publishes them at
+        probe boundaries; a probe must see the profiler's event count
+        equal the simulator's and its run wall keep growing (events ran
+        since the last probe, so it never stalls or goes backwards),
+        across two ``run(until=...)`` windows.
+        """
+        sim = Simulator()
+        profiler = AttributionProfiler(config)
+        sim.attach_profiler(profiler)
+        widget = Widget()
+        sim.every(0.01, widget.tick)
+        sim.every(0.07, widget.tock)
+        seen = []
+
+        def probe():
+            assert profiler.events_seen == sim.events_processed
+            assert profiler.run_wall_s > (seen[-1][1] if seen else 0.0)
+            seen.append((sim.events_processed, profiler.run_wall_s))
+
+        sim.add_probe(0.25, probe)
+        sim.run(until=1.0)
+        first_window = len(seen)
+        sim.run(until=2.0)
+        assert first_window == 4 and len(seen) == 8
+        counts = [count for count, _ in seen]
+        assert counts == sorted(counts) and counts[0] > 0
+        assert profiler.events_seen == sim.events_processed
+        assert profiler.run_wall_s == pytest.approx(sim.run_wall_time_s)

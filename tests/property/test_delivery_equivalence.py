@@ -1,12 +1,13 @@
-"""Bit-identity of the vectorized delivery backend against the reference.
+"""Bit-identity of the vectorized delivery lane against the reference.
 
 The struct-of-arrays fast lane (``repro.sim.radio_array`` +
-``Medium._drain_deliveries_vector``) is the default delivery backend,
-so this suite is the contract that lets it be: for every scenario,
-seed, event-queue backend, fault plan, and observer combination we can
-afford to run, the two backends must agree on the deterministic
-fingerprint, every per-client counter, the Prometheus export, the
-windowed timeseries, and the full JSONL trace-event sequence. Energy
+``Medium._deliver``) is the only production delivery lane, so this
+suite is the contract that lets it be: for every scenario, seed, event
+queue, fault plan, and observer combination we can afford to run, it
+and the ``ReferenceMedium`` oracle (``tests/sim/oracles.py``, every
+frame to every entity) must agree on the deterministic fingerprint,
+every per-client counter, the Prometheus export, the windowed
+timeseries, and the full JSONL trace-event sequence. Energy
 accrual is *deferred* in the fast lane (settled at probe boundaries
 via the engine's sync hooks), which is exactly the kind of change that
 silently skews counters if a settle point is missed — hence the
@@ -15,11 +16,9 @@ property-based cross product rather than a single golden run.
 
 import json
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
 from repro.experiments.des_run import (
     DesRunConfig,
     ProfilerConfig,
@@ -30,7 +29,9 @@ from repro.faults import FaultPlan
 from repro.obs import format_for_path, write_metrics
 from repro.obs.diff import diff_files
 from repro.obs.tracing import JsonlTracer
+from repro.sim.medium import Medium
 from repro.traces import generate_trace
+from tests.sim.oracles import ReferenceMedium, oracle_lanes
 
 _PLAN = FaultPlan.parse("loss=0.08,beacon=0.01,seed=11,crash=0@2:5")
 
@@ -40,10 +41,10 @@ _WALL_FIELDS = ("wall_time", "wall_duration_s")
 
 
 def _run(
-    delivery_backend,
+    lane,
     scenario="Starbucks",
     seed=7,
-    queue_backend=None,
+    heap=False,
     fault_plan=None,
     telemetry=False,
     profiler=False,
@@ -57,21 +58,20 @@ def _run(
         check_invariants=True,
         telemetry=TelemetryConfig(window="dtim") if telemetry else None,
         profiler=ProfilerConfig() if profiler else None,
-        queue_backend=queue_backend,
-        delivery_backend=delivery_backend,
     )
-    if tracer is None:
-        result = run_trace_des(trace, config)
-    else:
-        result = run_trace_des(trace, config, tracer=tracer)
+    with oracle_lanes(heap=heap, reference=lane == "reference"):
+        if tracer is None:
+            result = run_trace_des(trace, config)
+        else:
+            result = run_trace_des(trace, config, tracer=tracer)
     result.close()
     return result
 
 
 def _assert_identical(ref, vec):
     """Full-depth agreement: hash, then the pieces behind the hash."""
-    assert ref.medium.delivery_kind == "reference"
-    assert vec.medium.delivery_kind == "vectorized"
+    assert type(ref.medium) is ReferenceMedium
+    assert type(vec.medium) is Medium
     assert ref.deterministic_fingerprint() == vec.deterministic_fingerprint()
     assert ref.simulator.events_processed == vec.simulator.events_processed
     assert ref.medium.frames_dropped == vec.medium.frames_dropped
@@ -92,7 +92,7 @@ def _trace_sequence(path):
 
 
 class TestDeliveryEquivalenceProperty:
-    """Hypothesis cross product over scenario x seed x queue backend."""
+    """Hypothesis cross product over scenario x seed x event queue."""
 
     @settings(
         max_examples=8,
@@ -102,11 +102,11 @@ class TestDeliveryEquivalenceProperty:
     @given(
         scenario=st.sampled_from(["Starbucks", "Classroom", "WRL"]),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
-        queue_backend=st.sampled_from([None, "heap", "calendar"]),
+        heap=st.booleans(),
     )
-    def test_fingerprints_identical(self, scenario, seed, queue_backend):
-        ref = _run("reference", scenario, seed, queue_backend)
-        vec = _run("vectorized", scenario, seed, queue_backend)
+    def test_fingerprints_identical(self, scenario, seed, heap):
+        ref = _run("reference", scenario, seed, heap)
+        vec = _run("vectorized", scenario, seed, heap)
         _assert_identical(ref, vec)
 
     @settings(
@@ -196,12 +196,8 @@ class TestDeliveryEquivalenceObservers:
                 f"{site['owner']}.{site['method']}"
                 for site in report["sites"]
             }
-            drain = (
-                "Medium._drain_deliveries_vector"
-                if backend == "vectorized"
-                else "Medium._drain_deliveries"
-            )
-            assert drain in sites
+            owner = "Medium" if backend == "vectorized" else "ReferenceMedium"
+            assert f"{owner}._drain_deliveries" in sites
 
     def test_telemetry_does_not_perturb_either_backend(self):
         for backend in ("reference", "vectorized"):
@@ -214,15 +210,47 @@ class TestDeliveryEquivalenceObservers:
 
 
 class TestDeliveryBackendConfig:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            DesRunConfig(delivery_backend="simd")
-
     def test_default_is_vectorized(self):
-        result = _run(None)
-        assert result.medium.delivery_kind == "vectorized"
-        assert result.medium.radio_array is not None
+        result = _run("vectorized")
+        assert type(result.medium) is Medium
+        assert len(result.medium.radio_array) == 3
 
     def test_reference_lane_has_no_radio_array(self):
         result = _run("reference")
         assert result.medium.radio_array is None
+
+
+class TestSweepLaneGate:
+    """The cheapest end-to-end differential gate: a whole sharded sweep.
+
+    Forked workers inherit the oracle patch, so the same ``run_sweep``
+    call runs every cell on the reference lane.  The merged fingerprint
+    covers every cell under 5% loss with loss recovery and invariants
+    armed and the sampling profiler attached.
+    """
+
+    def test_merged_fingerprint_matches_reference_lane(self):
+        from repro.experiments.sweep import SweepSpec, run_sweep
+
+        spec = SweepSpec(
+            scenarios=("Starbucks", "Classroom"),
+            seeds=tuple(range(5)),
+            config=DesRunConfig(
+                client_count=2,
+                duration_s=5.0,
+                check_invariants=True,
+                profiler=ProfilerConfig(mode="sampling"),
+            ),
+            fault_spec="loss=0.05",
+        )
+        vectorized = run_sweep(spec, workers=2)
+        with oracle_lanes(reference=True):
+            reference = run_sweep(spec, workers=2)
+        for document in (vectorized, reference):
+            assert document["totals"]["failed"] == 0, document["failures"]
+            assert document["totals"]["cells"] == 10
+            assert document["profile"]["runs_merged"] == 10
+        owners = {site["owner"] for site in reference["profile"]["sites"]}
+        assert "ReferenceMedium" in owners and "Medium" not in owners
+        assert vectorized["merged_fingerprint"] == reference["merged_fingerprint"]
+        assert vectorized["runs"] == reference["runs"]

@@ -1,18 +1,19 @@
-"""Differential tests: heap and calendar queues are observably identical.
+"""Differential tests: the calendar queue against the heap oracle.
 
 Two layers:
 
 * queue level — random push/cancel mixes drained through the run-loop
-  contract (``near`` + ``advance``) must pop in identical order on both
-  backends, including exact ties, bucket-edge times, and far-future
-  overflow timers;
+  contract (``near`` + ``advance``) must pop in identical order on the
+  production calendar queue and the binary-heap oracle
+  (``tests/sim/oracles.py``), including exact ties, bucket-edge times,
+  and far-future overflow timers;
 * simulator level — random command tapes (schedule / schedule_at /
   cancel / recurring / run-in-segments) replayed on a heap-backed and a
   calendar-backed :class:`~repro.sim.engine.Simulator` must produce
   identical firing logs, clocks, and counter quadruples.
 
-These are the proofs-by-adversary behind swapping the default backend:
-any schedule the two queues disagree on is a shrunken counterexample,
+These are the proofs-by-adversary behind the calendar queue: any
+schedule it and the oracle disagree on is a shrunken counterexample,
 not a flaky fleet run.
 """
 
@@ -25,12 +26,8 @@ from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
-from repro.sim.eventq import (
-    DEFAULT_BUCKET_WIDTH_S,
-    CalendarEventQueue,
-    HeapEventQueue,
-    make_queue,
-)
+from repro.sim.eventq import DEFAULT_BUCKET_WIDTH_S, CalendarEventQueue
+from tests.sim.oracles import HeapEventQueue
 
 _INF = float("inf")
 
@@ -124,14 +121,11 @@ class TestQueueDifferential:
                 with pytest.raises(SimulationError):
                     queue.push([bad, 0, 0, None, False, None])
 
-    def test_make_queue_round_trip(self):
-        assert make_queue("heap").kind == "heap"
-        assert make_queue("calendar").kind == "calendar"
-        assert make_queue(None).kind in ("heap", "calendar")
+    def test_simulator_queue_seam(self):
+        assert Simulator().queue_kind == "calendar"
         tuned = CalendarEventQueue(num_buckets=8)
-        assert make_queue(tuned) is tuned
-        with pytest.raises(SimulationError):
-            make_queue("fibonacci")
+        assert Simulator(queue=tuned)._queue is tuned
+        assert Simulator(queue=HeapEventQueue()).queue_kind == "heap"
 
 
 # Simulator-level command tapes. Each command is interpreted the same
@@ -158,8 +152,8 @@ _command_strategy = st.one_of(
 )
 
 
-def _replay(kind, commands):
-    sim = Simulator(queue=kind)
+def _replay(queue, commands):
+    sim = Simulator(queue=queue)
     fired = []
     handles = []
 
@@ -201,8 +195,8 @@ class TestSimulatorDifferential:
     @given(st.lists(_command_strategy, max_size=40))
     @settings(max_examples=80, deadline=None)
     def test_command_tapes_equivalent(self, commands):
-        heap_fired, heap_state = _replay("heap", commands)
-        calendar_fired, calendar_state = _replay("calendar", commands)
+        heap_fired, heap_state = _replay(HeapEventQueue(), commands)
+        calendar_fired, calendar_state = _replay(CalendarEventQueue(), commands)
         assert heap_fired == calendar_fired
         assert heap_state == calendar_state
 
@@ -214,8 +208,8 @@ class TestSimulatorDifferential:
     def test_dtim_periodic_mix(self, dtim_period, timers):
         """Beacon/DTIM periodic timers plus far-future TTLs, segmented."""
 
-        def replay(kind):
-            sim = Simulator(queue=kind)
+        def replay(queue):
+            sim = Simulator(queue=queue)
             fired = []
             for k in range(timers):
                 sim.every(
@@ -229,4 +223,4 @@ class TestSimulatorDifferential:
                 sim.run(until=segment * 1.5)
             return fired, sim.pending_events, sim.queue_depth
 
-        assert replay("heap") == replay("calendar")
+        assert replay(HeapEventQueue()) == replay(CalendarEventQueue())

@@ -2,8 +2,8 @@
 
 The ledger rides the same observer seams as the rest of the
 observability stack, so it inherits the same two contracts: it must
-report *bit-identical* documents whichever delivery lane or event-queue
-backend ran the simulation (the quantiles are pure functions of bucket
+report *bit-identical* documents whether the production delivery lane
+and event queue or their test oracles ran the simulation (the quantiles are pure functions of bucket
 counts, so `json.dumps` equality is achievable, not just approximate),
 and attaching it must not perturb the deterministic fingerprint at all.
 Fault plans then probe the accounting itself: beacon loss starves
@@ -20,16 +20,18 @@ from hypothesis import strategies as st
 
 from repro.experiments.des_run import DesRunConfig, run_trace_des
 from repro.faults import FaultPlan
+from repro.sim.medium import Medium
 from repro.traces import generate_trace
+from tests.sim.oracles import ReferenceMedium, oracle_lanes
 
 _PLAN = FaultPlan.parse("loss=0.08,beacon=0.01,seed=11,crash=0@2:5")
 
 
 def _run(
-    delivery_backend,
+    lane="vectorized",
     scenario="Starbucks",
     seed=7,
-    queue_backend=None,
+    heap=False,
     fault_plan=None,
     ledger=True,
 ):
@@ -39,11 +41,10 @@ def _run(
         duration_s=6.0,
         fault_plan=fault_plan,
         check_invariants=True,
-        queue_backend=queue_backend,
-        delivery_backend=delivery_backend,
         ledger=ledger,
     )
-    result = run_trace_des(trace, config)
+    with oracle_lanes(heap=heap, reference=lane == "reference"):
+        result = run_trace_des(trace, config)
     result.close()
     return result
 
@@ -53,7 +54,7 @@ def _document_bytes(result):
 
 
 class TestLedgerLaneEquivalence:
-    """Hypothesis cross product over scenario x seed x queue backend."""
+    """Hypothesis cross product over scenario x seed x event queue."""
 
     @settings(
         max_examples=8,
@@ -63,15 +64,13 @@ class TestLedgerLaneEquivalence:
     @given(
         scenario=st.sampled_from(["Starbucks", "Classroom", "WRL"]),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
-        queue_backend=st.sampled_from([None, "heap", "calendar"]),
+        heap=st.booleans(),
     )
-    def test_documents_bit_identical_across_lanes(
-        self, scenario, seed, queue_backend
-    ):
-        ref = _run("reference", scenario, seed, queue_backend)
-        vec = _run("vectorized", scenario, seed, queue_backend)
-        assert ref.medium.delivery_kind == "reference"
-        assert vec.medium.delivery_kind == "vectorized"
+    def test_documents_bit_identical_across_lanes(self, scenario, seed, heap):
+        ref = _run("reference", scenario, seed, heap)
+        vec = _run("vectorized", scenario, seed, heap)
+        assert type(ref.medium) is ReferenceMedium
+        assert type(vec.medium) is Medium
         assert _document_bytes(ref) == _document_bytes(vec)
         assert ref.deterministic_fingerprint() == vec.deterministic_fingerprint()
 
@@ -120,7 +119,7 @@ class TestLedgerUnderFaults:
         client heard the beacon: beacon loss shifts client wake energy,
         but the frame ledger must balance with zero drops."""
         plan = FaultPlan.parse(f"beacon={beacon_loss},seed={fault_seed}")
-        result = _run(None, scenario="Classroom", seed=seed, fault_plan=plan)
+        result = _run(scenario="Classroom", seed=seed, fault_plan=plan)
         ledger = result.ledger
         assert ledger.frames_dropped_on_air == 0
         assert ledger.frames_buffer_dropped == 0
@@ -133,8 +132,8 @@ class TestLedgerUnderFaults:
         """Delivery timing is AP-side (enqueue -> DTIM drain -> air), so
         a client missing the beacon cannot change it."""
         plan = FaultPlan.parse("beacon=0.3,seed=5")
-        base = _run(None, scenario="Classroom").ledger
-        lossy = _run(None, scenario="Classroom", fault_plan=plan).ledger
+        base = _run(scenario="Classroom").ledger
+        lossy = _run(scenario="Classroom", fault_plan=plan).ledger
         assert (
             lossy.merged_delivery_delay().sum
             == base.merged_delivery_delay().sum
@@ -155,7 +154,7 @@ class TestLedgerUnderFaults:
         push a delivery later, so the sum and max of the delay
         distribution are monotone in the plan — and no frame is lost."""
         plan = FaultPlan.parse(f"jitter=1e-4,seed={fault_seed}")
-        base = _run(None, scenario="Classroom", seed=seed).ledger
+        base = _run(scenario="Classroom", seed=seed).ledger
         jittered = _run(
             None, scenario="Classroom", seed=seed, fault_plan=plan
         ).ledger
@@ -169,7 +168,7 @@ class TestLedgerUnderFaults:
 
     def test_jitter_strictly_lengthens_for_a_busy_seed(self):
         plan = FaultPlan.parse("jitter=1e-4,seed=5")
-        base = _run(None, scenario="Classroom", seed=7).ledger
+        base = _run(scenario="Classroom", seed=7).ledger
         jittered = _run(
             None, scenario="Classroom", seed=7, fault_plan=plan
         ).ledger

@@ -3,12 +3,14 @@
 A crash handler runs *as* a delivery callback: the client detaches from
 the medium while the drain loop is mid-batch and later frames are still
 sitting in the in-flight heap.  The contract (documented on
-:meth:`Medium.detach`) is backend-independent:
+:meth:`Medium.detach`) holds on the production lane and on the
+``ReferenceMedium`` oracle alike:
 
 * the frame whose fan-out is currently being iterated still reaches
   every recipient in its snapshot — including the departing one;
 * every *later* frame recomputes recipients and skips it;
-* on the vectorized backend the slot is settled and freed immediately,
+* on the production (vectorized) lane the slot is settled and freed
+  immediately,
   and the in-flight ``(deliver_at, sequence, transmission)`` tuples are
   never perturbed.
 """
@@ -21,6 +23,7 @@ from repro.sim.entity import Entity
 from repro.sim.medium import Medium
 from repro.station.client import ClientCounters
 from repro.units import mbps
+from tests.sim.oracles import ReferenceMedium
 
 _BSSID = MacAddress(b"\x02\x00\x00\x00\x00\xaa")
 _SRC = MacAddress(b"\x02\x00\x00\x00\x00\xbb")
@@ -84,7 +87,7 @@ def _broadcast(sequence):
 
 def _run(backend):
     sim = Simulator()
-    medium = Medium(sim, delivery_backend=backend)
+    medium = (Medium if backend == "vectorized" else ReferenceMedium)(sim)
     sender = Entity("upstream")
     medium.attach(sender)
     v1 = FakeClient("v1", _mac(1), listening=True)
