@@ -11,9 +11,7 @@ scrapers, JSONL post-processing, or run reports. Live instrumentation
 
 from repro.obs.metrics import (
     Counter,
-    DEFAULT_BUCKETS,
     Gauge,
-    Histogram,
     MetricsRegistry,
     default_registry,
     series_key,
@@ -96,12 +94,10 @@ def __getattr__(name: str):
 __all__ = [
     "AttributionProfiler",
     "Counter",
-    "DEFAULT_BUCKETS",
     "DiffResult",
     "FrameLedger",
     "Gauge",
     "HdrHistogram",
-    "Histogram",
     "JsonlTracer",
     "LEDGER_SCHEMA",
     "MetricDelta",

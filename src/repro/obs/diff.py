@@ -14,7 +14,8 @@ Recognized file shapes (detected from content, not extension):
 * Prometheus text exposition (a ``--metrics-out run.prom`` export or a
   saved ``/metrics`` scrape) — one entry per sample line.
 * Snapshot JSONL (``--metrics-out run.jsonl``) — scalars map directly;
-  histograms flatten to ``_count``/``_sum``/``_mean``/``_p50``/``_p95``.
+  histogram rows (a :meth:`~repro.obs.hdr.HdrHistogram.to_dict`
+  payload) flatten like every other HDR histogram below.
 * Timeseries JSON (``--timeseries-out``, schema ``repro-timeseries/v1``)
   — compared at the final window's cumulative values.
 * Benchmark JSON (``repro bench``, schema ``repro-bench/v1``) — one
@@ -23,14 +24,19 @@ Recognized file shapes (detected from content, not extension):
   entry per site for events and attributed wall seconds, plus the
   run-level totals.
 * Ledger JSON (``--ledger-out``, schema ``repro-ledger/v1``) — counts
-  plus every histogram's stats, summary quantiles, and cumulative
-  per-bucket counts, so two ledgers compare quantile-by-quantile *and*
-  bucket-by-bucket.
+  plus every HDR histogram.
 * Loadgen JSON (``repro loadgen --out``, schema ``repro-loadgen/v1``)
-  — achieved counters, per-status ACK counts, and round-trip-latency
-  quantiles.
+  — achieved counters, per-status ACK counts, and the round-trip HDR
+  histograms (overall and per ACK status).
 * A bare fingerprint line (``deterministic_fingerprint`` hex) —
   compared for exact equality.
+
+Every HDR histogram, whichever file it comes from, flattens through
+:func:`~repro.obs.hdr.flatten_hdr` to its stats
+(``_count``/``_sum``/``_mean``/``_min``/``_max``), summary quantiles
+(``_p50``/``_p90``/``_p99``/``_p999``), and cumulative
+``_bucket{le=...}`` counts, so two artifacts compare
+quantile-by-quantile *and* bucket-by-bucket.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
+from repro.obs.hdr import flatten_hdr
 from repro.obs.ledger import flatten_ledger_document
 from repro.obs.metrics import METRIC_NAME_RE, series_key
 from repro.reporting import render_table
@@ -52,29 +59,6 @@ _PROM_LINE_RE = re.compile(
     r"(?P<labels>\{.*\})?\s+(?P<value>\S+)$"
 )
 _FINGERPRINT_RE = re.compile(r"^[0-9a-f]{40,128}$")
-
-#: Histogram snapshot fields worth diffing (others are derived/noisy).
-_HISTOGRAM_FIELDS = ("count", "sum", "mean", "p50", "p95", "p99")
-
-
-def _flatten_hdr_payload(
-    prefix: str,
-    payload: Dict[str, object],
-    out: Dict[str, "Value"],
-    labels: Optional[Dict[str, str]] = None,
-) -> None:
-    """Flatten one :meth:`HdrHistogram.to_dict` payload into ``out``."""
-
-    def put(stat: str, value: object) -> None:
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            name = f"{prefix}_{stat}"
-            out[series_key(name, labels) if labels else name] = float(value)
-
-    for stat in ("count", "sum", "mean", "min", "max"):
-        put(stat, payload.get(stat))
-    for label, value in (payload.get("quantiles") or {}).items():  # type: ignore[union-attr]
-        put(str(label), value)
-
 
 def _parse_prom_value(token: str) -> Optional[float]:
     if token == "+Inf":
@@ -111,11 +95,8 @@ def _flatten_snapshot_row(row: Dict[str, object], out: Dict[str, Value]) -> None
     if METRIC_NAME_RE.fullmatch(name) is None:
         raise ValueError(f"snapshot row has no valid metric name: {row!r}")
     labels = {str(k): str(v) for k, v in (row.get("labels") or {}).items()}
-    if row.get("kind") == "histogram":
-        for field in _HISTOGRAM_FIELDS:
-            value = row.get(field)
-            if isinstance(value, (int, float)):
-                out[series_key(f"{name}_{field}", labels)] = float(value)
+    if row.get("kind") == "summary":
+        out.update(flatten_hdr(name, row, labels))
     else:
         value = row.get("value")
         if isinstance(value, (int, float)):
@@ -174,14 +155,13 @@ def _load_json_document(doc: object) -> Dict[str, Value]:
             latency = doc.get("latency") or {}
             rtt = latency.get("rtt_ms")
             if isinstance(rtt, dict):
-                _flatten_hdr_payload("loadgen_rtt_ms", rtt, out)
+                out.update(flatten_hdr("loadgen_rtt_ms", rtt))
             for status, payload in sorted(
                 (latency.get("rtt_ms_by_status") or {}).items()
             ):
                 if isinstance(payload, dict):
-                    _flatten_hdr_payload(
-                        "loadgen_rtt_ms", payload, out,
-                        labels={"status": str(status)},
+                    out.update(
+                        flatten_hdr("loadgen_rtt_ms", payload, {"status": str(status)})
                     )
             return out
         if schema == "repro-timeseries/v1":

@@ -16,28 +16,13 @@ import json
 import math
 from typing import IO, List, Optional, Union
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    escape_label_value,
-)
+from repro.obs.metrics import HdrSummary, MetricsRegistry
 from repro.reporting import render_table
-
-_escape_label_value = escape_label_value
 
 
 def _escape_help_text(text: str) -> str:
     """HELP lines escape only backslash and line feed (the spec)."""
     return text.replace("\\", "\\\\").replace("\n", "\\n")
-
-
-def _format_labels(labels, extra: str = "") -> str:
-    parts = [f'{k}="{_escape_label_value(v)}"' for k, v in sorted(labels.items())]
-    if extra:
-        parts.append(extra)
-    return "{" + ",".join(parts) + "}" if parts else ""
 
 
 def _format_value(value: float) -> str:
@@ -64,17 +49,8 @@ def render_prometheus(registry: MetricsRegistry) -> str:
                     f"# HELP {metric.name} {_escape_help_text(metric.help)}"
                 )
             lines.append(f"# TYPE {metric.name} {metric.kind}")
-        if isinstance(metric, Histogram):
-            for bound, cumulative in metric.cumulative_buckets():
-                le = _format_value(bound) if bound != math.inf else "+Inf"
-                labels = _format_labels(metric.labels, extra=f'le="{le}"')
-                lines.append(f"{metric.name}_bucket{labels} {cumulative}")
-            base = _format_labels(metric.labels)
-            lines.append(f"{metric.name}_sum{base} {_format_value(metric.sum)}")
-            lines.append(f"{metric.name}_count{base} {metric.count}")
-        elif isinstance(metric, (Counter, Gauge)):
-            labels = _format_labels(metric.labels)
-            lines.append(f"{metric.name}{labels} {_format_value(metric.value)}")
+        for key, value in metric.samples():
+            lines.append(f"{key} {_format_value(value)}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -89,14 +65,14 @@ def render_metrics_jsonl(registry: MetricsRegistry) -> str:
 def render_metrics_table(
     registry: MetricsRegistry, title: Optional[str] = "Metrics"
 ) -> str:
-    """A human summary: one row per series, histograms as count/mean/p95."""
+    """A human summary: one row per series, histograms as count/mean/p50/p99."""
     rows: List[List[str]] = []
     for metric in registry.collect():
         labels = ",".join(f"{k}={v}" for k, v in sorted(metric.labels.items()))
-        if isinstance(metric, Histogram):
+        if isinstance(metric, HdrSummary):
             value = (
-                f"n={metric.count} mean={metric.mean:.6g} "
-                f"p50={metric.percentile(50):.6g} p95={metric.percentile(95):.6g}"
+                f"n={metric.count} mean={metric.histogram.mean:.6g} "
+                f"p50={metric.quantile(0.5):.6g} p99={metric.quantile(0.99):.6g}"
             )
         else:
             value = f"{metric.value:.6g}"  # type: ignore[attr-defined]

@@ -1,12 +1,13 @@
 """HDR-style log-bucketed histograms: O(1) record, fixed memory.
 
-The registry :class:`~repro.obs.metrics.Histogram` carries a fixed,
-hand-picked bucket list tuned for wall-clock timings. The frame ledger
-and the port-service latency paths need something different: values
-spanning many decades (a microsecond of queue wait up to minutes of
-buffering delay, or nanojoules up to joules) recorded millions of times
-with a *relative* error bound — exactly the HdrHistogram trade
-(log-spaced octaves, linearly subdivided).
+Every distribution in the repo is one of these: the frame ledger's
+delay and energy spans, the port service's queue-wait, drain-cost and
+ACK-latency paths, the loadgen's round-trip times, and the registry's
+``histogram`` series (:meth:`~repro.obs.metrics.MetricsRegistry.histogram`),
+which wraps one. Values span many decades (a microsecond of queue wait
+up to minutes of buffering delay, or nanojoules up to joules) and are
+recorded millions of times with a *relative* error bound — exactly the
+HdrHistogram trade (log-spaced octaves, linearly subdivided).
 
 Design, kept dependency-free and deterministic:
 
@@ -23,14 +24,20 @@ Design, kept dependency-free and deterministic:
   the observed max): a pure function of the bucket counts, so two runs
   that record the same values — e.g. the delivery lane and its test
   oracle — report bit-identical quantiles.
+
+Two geometries are in use: the default (seconds or joules, 1e-6 to
+1e4) and :func:`latency_ms_histogram` (milliseconds, shared by the
+service and the loadgen so the two ends of a round trip compare).
+:func:`flatten_hdr` is the one place a :meth:`HdrHistogram.to_dict`
+payload becomes diffable series keys.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-__all__ = ["HdrHistogram", "QUANTILE_LABELS"]
+__all__ = ["HdrHistogram", "QUANTILE_LABELS", "flatten_hdr", "latency_ms_histogram"]
 
 #: The quantile set every summary exports, label → q.
 QUANTILE_LABELS: Tuple[Tuple[str, float], ...] = (
@@ -263,3 +270,49 @@ class HdrHistogram:
             f"HdrHistogram(count={self._count}, mean={self.mean:.6g}, "
             f"p99={self.quantile(0.99):.6g}, max={self._max})"
         )
+
+
+def latency_ms_histogram() -> HdrHistogram:
+    """The millisecond latency geometry: 1 µs floor up to a minute.
+
+    Service shards and the loadgen both record with it, so their
+    documents merge and diff against each other; anything above a
+    minute is a stall the exact max still captures.
+    """
+    return HdrHistogram(min_value=1e-3, max_value=6e4, sub_count=32)
+
+
+def flatten_hdr(
+    prefix: str,
+    payload: Mapping[str, object],
+    labels: Optional[Dict[str, str]] = None,
+) -> Dict[str, float]:
+    """Flatten one :meth:`HdrHistogram.to_dict` payload to series keys.
+
+    Returns ``<prefix>_count``/``_sum``/``_mean``, ``_min``/``_max`` when
+    recorded, one ``<prefix>_<q>`` per summary quantile
+    (``p50``…``p999``, ``max``), and ``<prefix>_bucket{le="<bound>"}``
+    cumulative counts for the occupied buckets. ``labels`` join every
+    key (``le`` sorts in among them), so ``repro obs diff`` and
+    ``repro obs slo`` address ledger, loadgen and snapshot histograms
+    alike.
+    """
+    # Imported here: the registry module imports this one for the
+    # storage behind its histogram series.
+    from repro.obs.metrics import series_key
+
+    labels = labels or {}
+    flat: Dict[str, float] = {}
+    for stat in ("count", "sum", "mean", "min", "max"):
+        raw = payload.get(stat)
+        if raw is None and stat in ("min", "max"):
+            continue  # nothing recorded: no extremes to report
+        flat[series_key(f"{prefix}_{stat}", labels)] = float(raw or 0.0)  # type: ignore[arg-type]
+    for label, value in (payload.get("quantiles") or {}).items():  # type: ignore[union-attr]
+        flat[series_key(f"{prefix}_{label}", labels)] = float(value)
+    cumulative = 0.0
+    for upper_bound, count in payload.get("buckets") or ():  # type: ignore[union-attr]
+        cumulative += float(count)
+        le = {**labels, "le": f"{float(upper_bound):.9g}"}
+        flat[series_key(f"{prefix}_bucket", le)] = cumulative
+    return flat

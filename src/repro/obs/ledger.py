@@ -49,7 +49,7 @@ import json
 from collections import deque
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
-from repro.obs.hdr import HdrHistogram
+from repro.obs.hdr import HdrHistogram, flatten_hdr
 
 __all__ = [
     "FrameLedger",
@@ -68,18 +68,6 @@ LEDGER_SCHEMA = "repro-ledger/v1"
 #: classify as UDP; ``immediate`` frames skipped the buffer entirely
 #: because no client was in power-save.
 DECISION_CLASSES: Tuple[str, ...] = ("flagged", "hidden", "immediate")
-
-
-def _delay_histogram() -> HdrHistogram:
-    # 1 µs resolution floor up to ~3 hours: covers airtime-only
-    # immediate sends through multi-DTIM deferrals with room to spare.
-    return HdrHistogram(min_value=1e-6, max_value=1e4, sub_count=32)
-
-
-def _energy_histogram() -> HdrHistogram:
-    # 1 µJ floor up to 10 kJ — a client's wake energy over any run
-    # length this harness produces.
-    return HdrHistogram(min_value=1e-6, max_value=1e4, sub_count=32)
 
 
 class FrameLedger:
@@ -103,12 +91,15 @@ class FrameLedger:
         # id(frame) -> (origin sim-time, decision class) for frames on
         # the air awaiting their delivery event.
         self._inflight: Dict[int, Tuple[float, str]] = {}
-        self.buffer_delay_s = _delay_histogram()
+        # The default geometry (1e-6 to 1e4) spans 1 µs airtime-only
+        # sends through multi-DTIM deferrals (~3 hours), and 1 µJ up to
+        # a client's wake energy over any run length this harness makes.
+        self.buffer_delay_s = HdrHistogram()
         self.delivery_delay_s: Dict[str, HdrHistogram] = {
-            cls: _delay_histogram() for cls in DECISION_CLASSES
+            cls: HdrHistogram() for cls in DECISION_CLASSES
         }
-        self.client_energy_j = _energy_histogram()
-        self.client_wake_energy_j = _energy_histogram()
+        self.client_energy_j = HdrHistogram()
+        self.client_wake_energy_j = HdrHistogram()
         # Span counters (all monotone; conservation asserts on them).
         self.frames_enqueued = 0
         self.frames_buffer_dropped = 0
@@ -259,31 +250,18 @@ class FrameLedger:
 def flatten_ledger_document(document: Dict[str, object]) -> Dict[str, float]:
     """Flatten a ``repro-ledger/v1`` document to diffable series keys.
 
-    Counts become ``ledger_<counter>``; every histogram contributes its
-    count/sum/mean/min/max, each summary quantile as
-    ``ledger_<name>_<q>``, and its occupied buckets as
-    ``ledger_<name>_bucket{le="<bound>"}`` cumulative counts — so
-    ``repro obs diff`` compares ledgers quantile-by-quantile *and*
-    bucket-by-bucket under the ordinary abs/rel tolerances, and
+    Counts become ``ledger_<counter>``; every histogram flattens through
+    :func:`~repro.obs.hdr.flatten_hdr` under the ``ledger_<name>``
+    prefix (stats, summary quantiles, cumulative ``_bucket{le=...}``
+    counts) — so ``repro obs diff`` compares ledgers quantile-by-quantile
+    *and* bucket-by-bucket under the ordinary abs/rel tolerances, and
     ``repro obs slo`` objectives can reference any of these keys.
     """
     flat: Dict[str, float] = {}
     for name, value in document.get("counts", {}).items():  # type: ignore[union-attr]
         flat[f"ledger_{name}"] = float(value)
     for name, payload in document.get("histograms", {}).items():  # type: ignore[union-attr]
-        prefix = f"ledger_{name}"
-        for stat in ("count", "sum", "mean"):
-            flat[f"{prefix}_{stat}"] = float(payload.get(stat) or 0.0)
-        for stat in ("min", "max"):
-            raw = payload.get(stat)
-            if raw is not None:
-                flat[f"{prefix}_{stat}"] = float(raw)
-        for label, value in (payload.get("quantiles") or {}).items():
-            flat[f"{prefix}_{label}"] = float(value)
-        cumulative = 0.0
-        for upper_bound, count in payload.get("buckets", ()):
-            cumulative += float(count)
-            flat[f'{prefix}_bucket{{le="{float(upper_bound):.9g}"}}'] = cumulative
+        flat.update(flatten_hdr(f"ledger_{name}", payload))
     return flat
 
 

@@ -1,4 +1,4 @@
-"""Zero-dependency metrics primitives: Counter, Gauge, Histogram.
+"""Zero-dependency metrics primitives: counters, gauges, HDR summaries.
 
 A :class:`MetricsRegistry` owns named metric families; each family holds
 one series per distinct label set. Experiments that run in parallel (or
@@ -15,22 +15,15 @@ stack costs the hot path nothing.
 
 from __future__ import annotations
 
-import bisect
 import re
-import time
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
+
+from repro.obs.hdr import HdrHistogram
 
 #: Prometheus metric-name grammar (exposition format, version 0.0.4).
 METRIC_NAME_RE = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*\Z")
 #: Prometheus label-name grammar (no leading digit, no colons).
 LABEL_NAME_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*\Z")
-
-#: Default histogram buckets: wall-clock seconds from 10 µs to 10 s.
-DEFAULT_BUCKETS: Tuple[float, ...] = (
-    1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
-    1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2,
-    0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-)
 
 LabelItems = Tuple[Tuple[str, str], ...]
 
@@ -98,6 +91,14 @@ class Metric:
     def series_id(self) -> str:
         """The canonical ``name{labels}`` key for this series."""
         return self._series_id
+
+    def samples(self) -> List[Tuple[str, float]]:
+        """``(series key, value)`` for every sample line the series exports.
+
+        The Prometheus exporter and the timeseries recorder both read
+        this list, so a scrape and a timeseries window key identically.
+        """
+        return [(self._series_id, self.value)]  # type: ignore[attr-defined]
 
 
 class Counter(Metric):
@@ -168,120 +169,60 @@ class Gauge(Metric):
         self._function = None
 
 
-class Histogram(Metric):
-    """Fixed-bucket distribution with percentile estimation.
+class HdrSummary(Metric):
+    """A distribution series backed by an :class:`HdrHistogram`.
 
-    Buckets are upper bounds (``le``); an implicit +Inf bucket catches
-    the tail. Percentiles are linearly interpolated inside the winning
-    bucket, which is exact enough for "where did the time go" questions
-    without keeping every sample.
+    Exported as a Prometheus ``summary``: one ``{quantile="..."}`` line
+    per summary quantile (p50/p90/p99/p999 plus the exact max, omitted
+    while empty) and ``_sum``/``_count`` lines. Other statistics are
+    read off :attr:`histogram`.
     """
 
-    kind = "histogram"
+    kind = "summary"
 
-    def __init__(
-        self,
-        name: str,
-        help: str = "",
-        labels: Optional[Dict[str, str]] = None,
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ):
+    def __init__(self, name: str, help: str = "", labels: Optional[Dict[str, str]] = None):
         super().__init__(name, help, labels)
-        bounds = tuple(sorted(float(b) for b in buckets))
-        if not bounds:
-            raise ValueError("histogram needs at least one bucket bound")
-        if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-            raise ValueError(f"bucket bounds must be strictly increasing: {bounds}")
-        self.bucket_bounds = bounds
-        self._bucket_counts = [0] * (len(bounds) + 1)  # +Inf tail
-        self._count = 0
-        self._sum = 0.0
-        self._min: Optional[float] = None
-        self._max: Optional[float] = None
+        self.histogram = HdrHistogram()
 
     @property
     def count(self) -> int:
-        return self._count
-
-    @property
-    def sum(self) -> float:
-        return self._sum
-
-    @property
-    def mean(self) -> float:
-        return self._sum / self._count if self._count else 0.0
-
-    @property
-    def min(self) -> Optional[float]:
-        return self._min
-
-    @property
-    def max(self) -> Optional[float]:
-        return self._max
+        return self.histogram.count
 
     def observe(self, value: float) -> None:
-        index = bisect.bisect_left(self.bucket_bounds, value)
-        self._bucket_counts[index] += 1
-        self._count += 1
-        self._sum += value
-        if self._min is None or value < self._min:
-            self._min = value
-        if self._max is None or value > self._max:
-            self._max = value
+        self.histogram.record(value)
 
-    def time(self) -> "_HistogramTimer":
-        """``with hist.time(): ...`` observes the block's wall time."""
-        return _HistogramTimer(self)
+    def quantile(self, q: float) -> float:
+        """The q-quantile, q in [0, 1] (0.0 while empty)."""
+        return self.histogram.quantile(q)
 
-    def cumulative_buckets(self) -> List[Tuple[float, int]]:
-        """(upper_bound, cumulative_count) pairs, +Inf last."""
-        out: List[Tuple[float, int]] = []
-        running = 0
-        for bound, count in zip(self.bucket_bounds, self._bucket_counts):
-            running += count
-            out.append((bound, running))
-        out.append((float("inf"), running + self._bucket_counts[-1]))
+    def set_histogram(self, histogram: HdrHistogram) -> None:
+        """Mirror a component's own histogram, geometry included.
+
+        The pull-collector counterpart of :meth:`Counter.set_total`:
+        the series holds a copy, so resetting it never touches the
+        source.
+        """
+        self.histogram = HdrHistogram.merged([histogram])
+
+    def samples(self) -> List[Tuple[str, float]]:
+        histogram = self.histogram
+        out: List[Tuple[str, float]] = []
+        if histogram.count:
+            out.extend(
+                (series_key(self.name, {**self.labels, "quantile": label}), value)
+                for label, value in histogram.quantiles().items()
+            )
+        out.append((series_key(self.name + "_sum", self.labels), histogram.sum))
+        out.append(
+            (series_key(self.name + "_count", self.labels), float(histogram.count))
+        )
         return out
 
-    def percentile(self, q: float) -> float:
-        """Estimate the q-th percentile (q in [0, 100]) from buckets."""
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100]: {q}")
-        if self._count == 0:
-            return 0.0
-        rank = (q / 100.0) * self._count
-        running = 0
-        lower = 0.0
-        for bound, count in zip(self.bucket_bounds, self._bucket_counts):
-            if running + count >= rank and count > 0:
-                fraction = (rank - running) / count
-                return lower + fraction * (bound - lower)
-            running += count
-            lower = bound
-        # Tail (+Inf) bucket: the best bounded answer is the observed max.
-        return self._max if self._max is not None else self.bucket_bounds[-1]
-
     def reset(self) -> None:
-        self._bucket_counts = [0] * (len(self.bucket_bounds) + 1)
-        self._count = 0
-        self._sum = 0.0
-        self._min = None
-        self._max = None
-
-
-class _HistogramTimer:
-    __slots__ = ("_histogram", "_start")
-
-    def __init__(self, histogram: Histogram):
-        self._histogram = histogram
-        self._start = 0.0
-
-    def __enter__(self) -> "_HistogramTimer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._histogram.observe(time.perf_counter() - self._start)
+        histogram = self.histogram
+        self.histogram = HdrHistogram(
+            histogram.min_value, histogram.max_value, histogram.sub_count
+        )
 
 
 class MetricsRegistry:
@@ -298,7 +239,7 @@ class MetricsRegistry:
         self._kinds: Dict[str, str] = {}
         self._help: Dict[str, str] = {}
 
-    def _get_or_create(self, cls, name: str, help: str, labels, **kwargs) -> Metric:
+    def _get_or_create(self, cls, name: str, help: str, labels) -> Metric:
         kind = cls.kind
         existing_kind = self._kinds.get(name)
         if existing_kind is not None and existing_kind != kind:
@@ -310,7 +251,7 @@ class MetricsRegistry:
         key = _label_key(labels)
         metric = family.get(key)
         if metric is None:
-            metric = cls(name, help or self._help.get(name, ""), labels, **kwargs)
+            metric = cls(name, help or self._help.get(name, ""), labels)
             family[key] = metric
             self._kinds[name] = kind
             if help:
@@ -328,13 +269,9 @@ class MetricsRegistry:
         return self._get_or_create(Gauge, name, help, labels)
 
     def histogram(
-        self,
-        name: str,
-        help: str = "",
-        labels: Optional[Dict[str, str]] = None,
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> Histogram:
-        return self._get_or_create(Histogram, name, help, labels, buckets=buckets)
+        self, name: str, help: str = "", labels: Optional[Dict[str, str]] = None
+    ) -> HdrSummary:
+        return self._get_or_create(HdrSummary, name, help, labels)
 
     def collect(self) -> Iterator[Metric]:
         """All series, grouped by family, label sets in sorted order."""
@@ -372,17 +309,8 @@ class MetricsRegistry:
                 "kind": metric.kind,
                 "labels": dict(metric.labels),
             }
-            if isinstance(metric, Histogram):
-                entry.update(
-                    count=metric.count,
-                    sum=metric.sum,
-                    mean=metric.mean,
-                    min=metric.min,
-                    max=metric.max,
-                    p50=metric.percentile(50),
-                    p95=metric.percentile(95),
-                    p99=metric.percentile(99),
-                )
+            if isinstance(metric, HdrSummary):
+                entry.update(metric.histogram.to_dict())
             else:
                 entry["value"] = metric.value  # type: ignore[attr-defined]
             out.append(entry)

@@ -15,10 +15,11 @@ recorder sees the run *while it happens* without scheduling heap events
 — same-seed runs produce identical fingerprints with or without a
 recorder attached.
 
-Histograms are flattened to their ``_count`` and ``_sum`` series (the
-same names the Prometheus exporter emits), so a timeseries dump, a
-``.prom`` scrape, and a snapshot JSONL all key series identically and
-:mod:`repro.obs.diff` can compare any of them.
+Every series contributes the same ``(key, value)`` samples the
+Prometheus exporter renders (a histogram series: its quantile lines
+plus ``_sum`` and ``_count``), so a timeseries dump and a ``.prom``
+scrape key series identically and :mod:`repro.obs.diff` can compare
+either against a snapshot JSONL.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Dict, IO, List, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
-from repro.obs.metrics import Histogram, MetricsRegistry, series_key
+from repro.obs.metrics import MetricsRegistry
 
 #: Schema tag written into timeseries dumps (and recognized by obs diff).
 TIMESERIES_SCHEMA = "repro-timeseries/v1"
@@ -141,15 +142,7 @@ class TimeseriesRecorder:
     def _scalar_values(self) -> Dict[str, float]:
         out: Dict[str, float] = {}
         for metric in self.registry.collect():
-            if isinstance(metric, Histogram):
-                out[series_key(metric.name + "_count", metric.labels)] = float(
-                    metric.count
-                )
-                out[series_key(metric.name + "_sum", metric.labels)] = float(
-                    metric.sum
-                )
-            else:
-                out[metric.series_id] = float(metric.value)  # type: ignore[attr-defined]
+            out.update(metric.samples())
         return out
 
     def sample(self, now: float) -> WindowSample:

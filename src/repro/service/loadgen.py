@@ -29,7 +29,7 @@ from repro.dot11.mac_address import MacAddress
 from repro.dot11.pvb import MAX_AID
 from repro.errors import ServiceError
 from repro.net.ports import WELL_KNOWN_BROADCAST_SERVICES
-from repro.obs.hdr import HdrHistogram
+from repro.obs.hdr import HdrHistogram, latency_ms_histogram
 from repro.service import wire
 from repro.traces.scenarios import scenario_by_name
 
@@ -40,12 +40,6 @@ LOADGEN_SCHEMA = "repro-loadgen/v1"
 #: sequence per client, so a newer want-ack send for the same client
 #: simply supersedes the older pending entry.
 _PendingAcks = Dict[Tuple[int, int], Tuple[int, float]]
-
-
-def _rtt_histogram() -> HdrHistogram:
-    # Milliseconds; same geometry as the service-side latency histograms
-    # so `repro obs diff` can compare the two ends of the round trip.
-    return HdrHistogram(min_value=1e-3, max_value=6e4, sub_count=32)
 
 #: seq field offset inside the fixed wire header (see wire._HEADER).
 _SEQ_OFFSET = 8
@@ -119,13 +113,13 @@ class LoadgenReport:
     def record_rtt(self, status: int, rtt_ms: float) -> None:
         histogram = self.rtt_ms_by_status.get(status)
         if histogram is None:
-            histogram = self.rtt_ms_by_status[status] = _rtt_histogram()
+            histogram = self.rtt_ms_by_status[status] = latency_ms_histogram()
         histogram.record(rtt_ms)
 
     def merged_rtt(self) -> HdrHistogram:
         """Round-trip latency across every ACK status."""
         if not self.rtt_ms_by_status:
-            return _rtt_histogram()
+            return latency_ms_histogram()
         return HdrHistogram.merged(self.rtt_ms_by_status.values())
 
     def to_document(self) -> Dict[str, object]:

@@ -21,7 +21,8 @@ live ``asyncio`` UDP service:
 * the existing obs stack provides the ops surface: a
   :class:`~repro.obs.server.MetricsServer` (``/metrics`` + ``/healthz``)
   over a pull-collected registry, exporting reports/s, flags/s, shard
-  depths, expirations, and drops;
+  depths, expirations, drops, and the queue-wait, drain-cost and ACK
+  latency summaries;
 * SIGTERM/SIGINT trigger a graceful drain — ingest closes, shards
   flush, and a final-state JSON snapshot is written.
 """
@@ -38,7 +39,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.ap.flags import compute_broadcast_flags
 from repro.errors import FrameDecodeError, ServiceError
-from repro.obs.hdr import HdrHistogram, QUANTILE_LABELS
+from repro.obs.hdr import HdrHistogram
 from repro.obs.metrics import MetricsRegistry
 from repro.service import wire
 from repro.service.feed import BroadcastFrameFeed
@@ -466,19 +467,9 @@ class PortService:
             "ack_latency_ms": "Receive-to-ACK-emission latency (HDR, ms)",
         }
         for name, histogram in self.merged_latency().items():
-            text = latency_help[name]
-            registry.counter(f"service_{name}_count_total", text).set_total(
-                histogram.count
+            registry.histogram(f"service_{name}", latency_help[name]).set_histogram(
+                histogram
             )
-            if histogram.count == 0:
-                continue
-            for label, q in QUANTILE_LABELS:
-                registry.gauge(
-                    f"service_{name}", text, {"quantile": label}
-                ).set(histogram.quantile(q))
-            registry.gauge(
-                f"service_{name}", text, {"quantile": "max"}
-            ).set(histogram.max)
 
     def health(self) -> Dict[str, object]:
         totals = self.totals()

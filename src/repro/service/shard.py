@@ -25,7 +25,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.ap.port_table import ClientUdpPortTable, ExpiredEntry
 from repro.errors import FrameDecodeError, PortTableError
-from repro.obs.hdr import HdrHistogram
+from repro.obs.hdr import HdrHistogram, latency_ms_histogram
 from repro.service import wire
 from repro.service.ttl_wheel import TtlWheel
 
@@ -35,12 +35,6 @@ from repro.service.ttl_wheel import TtlWheel
 Ingress = Tuple[bytes, Tuple[str, int], Optional[float]]
 #: ``send(payload, addr)`` — the server binds this to the UDP transport.
 AckSink = Callable[[bytes, Tuple[str, int]], None]
-
-
-def _latency_histogram() -> HdrHistogram:
-    # Milliseconds, 1 µs resolution floor up to a minute — anything
-    # above that is a stall the exact max still captures.
-    return HdrHistogram(min_value=1e-3, max_value=6e4, sub_count=32)
 
 
 @dataclass
@@ -86,9 +80,9 @@ class PortShard:
         #: PR): time queued before the worker drained a datagram, wall
         #: cost of each non-empty drain batch, and receive-to-ACK-
         #: emission latency for ack-worthy messages.
-        self.queue_wait_ms = _latency_histogram()
-        self.drain_batch_ms = _latency_histogram()
-        self.ack_latency_ms = _latency_histogram()
+        self.queue_wait_ms = latency_ms_histogram()
+        self.drain_batch_ms = latency_ms_histogram()
+        self.ack_latency_ms = latency_ms_histogram()
         #: (bss, aid) -> MAC that owns the AID; a report for a bound
         #: AID from a different MAC is rejected, not silently stolen.
         self._mac_by_client: Dict[Tuple[int, int], bytes] = {}

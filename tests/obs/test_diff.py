@@ -13,6 +13,7 @@ from repro.obs.diff import (
     render_diff,
 )
 from repro.obs.exporters import render_metrics_jsonl, render_prometheus
+from repro.obs.hdr import latency_ms_histogram
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -22,7 +23,7 @@ def _sample_registry() -> MetricsRegistry:
     reg.counter(
         "repro_frames_total", labels={"kind": "Beacon"}
     ).set_total(3)
-    hist = reg.histogram("repro_lat_seconds", buckets=(0.1, 1.0))
+    hist = reg.histogram("repro_lat_seconds")
     hist.observe(0.05)
     return reg
 
@@ -205,9 +206,58 @@ class TestRoundTrip:
         path_b.write_text(render_metrics_jsonl(reg))
         result = diff_files(str(path_a), str(path_b))
         # Same run exported two ways: every shared series matches; the
-        # formats expose some format-only series (buckets vs p50/p95),
-        # which classify as added/removed, not regressions.
+        # formats expose some format-only series ({quantile=...} lines
+        # vs _p50/_bucket keys), which classify as added/removed, not
+        # regressions.
         assert result.ok()
+
+
+class TestHdrFlattening:
+    def test_one_histogram_flattens_alike_in_every_document(self):
+        hdr = latency_ms_histogram()
+        for value in (0.002, 0.5, 0.5, 3.0, 42.0, 9e4):
+            hdr.record(value)
+        ledger = parse_metrics_text(json.dumps({
+            "schema": "repro-ledger/v1",
+            "counts": {},
+            "histograms": {"buffer_delay_s": hdr.to_dict()},
+        }))
+        loadgen = parse_metrics_text(json.dumps({
+            "schema": "repro-loadgen/v1",
+            "achieved": {},
+            "latency": {"rtt_ms": hdr.to_dict(), "rtt_ms_by_status": {}},
+        }))
+
+        def unprefixed(flat, prefix):
+            assert all(key.startswith(prefix) for key in flat)
+            return {key[len(prefix):]: value for key, value in flat.items()}
+
+        suffixes = unprefixed(ledger, "ledger_buffer_delay_s_")
+        assert unprefixed(loadgen, "loadgen_rtt_ms_") == suffixes
+        reg = MetricsRegistry()
+        reg.histogram("repro_lat_ms").set_histogram(hdr)
+        snapshot = parse_metrics_text(render_metrics_jsonl(reg))
+        assert unprefixed(snapshot, "repro_lat_ms_") == suffixes
+        for stat in ("count", "sum", "mean", "min", "max",
+                     "p50", "p90", "p99", "p999"):
+            assert stat in suffixes
+        buckets = [key for key in suffixes if key.startswith("bucket{le=")]
+        assert len(buckets) == len(hdr.nonzero_buckets())
+        assert suffixes[buckets[-1]] == 6.0
+
+    def test_labels_sort_in_with_le(self):
+        hdr = latency_ms_histogram()
+        hdr.record(1.0)
+        flat = parse_metrics_text(json.dumps({
+            "schema": "repro-loadgen/v1",
+            "achieved": {},
+            "latency": {"rtt_ms_by_status": {"0": hdr.to_dict()}},
+        }))
+        assert flat['loadgen_rtt_ms_count{status="0"}'] == 1.0
+        assert any(
+            key.startswith('loadgen_rtt_ms_bucket{le="') and key.endswith(',status="0"}')
+            for key in flat
+        )
 
 
 class TestRendering:

@@ -22,7 +22,7 @@ def _sample_registry() -> MetricsRegistry:
     reg.counter(
         "repro_frames_total", "Frames by kind", labels={"kind": "Beacon"}
     ).inc(3)
-    hist = reg.histogram("repro_lat_seconds", "Latency", buckets=(0.1, 1.0))
+    hist = reg.histogram("repro_lat_seconds", "Latency")
     hist.observe(0.05)
     hist.observe(0.5)
     return reg
@@ -44,12 +44,16 @@ class TestPrometheus:
         assert 'repro_c{path="a\\"b\\\\c"} 1' in text
 
     def test_histogram_exposition(self):
-        text = render_prometheus(_sample_registry())
-        assert 'repro_lat_seconds_bucket{le="0.1"} 1' in text
-        assert 'repro_lat_seconds_bucket{le="1"} 2' in text
-        assert 'repro_lat_seconds_bucket{le="+Inf"} 2' in text
+        reg = _sample_registry()
+        text = render_prometheus(reg)
+        quantiles = reg.get("repro_lat_seconds").histogram.quantiles()
+        assert "# TYPE repro_lat_seconds summary" in text
+        for label, value in quantiles.items():
+            assert f'repro_lat_seconds{{quantile="{label}"}} {value!r}' in text
+        assert 'repro_lat_seconds{quantile="max"} 0.5' in text
         assert "repro_lat_seconds_sum 0.55" in text
         assert "repro_lat_seconds_count 2" in text
+        assert "_bucket" not in text
 
     def test_empty_registry_renders_empty(self):
         assert render_prometheus(MetricsRegistry()) == ""
@@ -113,20 +117,20 @@ class TestExporterEdgeCases:
 
     def test_zero_observation_histogram_exposes_zero_series(self):
         reg = MetricsRegistry()
-        reg.histogram("repro_lat_seconds", "Latency", buckets=(0.1, 1.0))
+        reg.histogram("repro_lat_seconds", "Latency")
         text = render_prometheus(reg)
-        assert 'repro_lat_seconds_bucket{le="0.1"} 0' in text
-        assert 'repro_lat_seconds_bucket{le="+Inf"} 0' in text
+        assert "quantile=" not in text  # no quantile lines while empty
         assert "repro_lat_seconds_count 0" in text
         assert "repro_lat_seconds_sum 0" in text
 
     def test_zero_observation_histogram_jsonl(self):
         reg = MetricsRegistry()
-        reg.histogram("repro_lat_seconds", buckets=(0.1,))
+        reg.histogram("repro_lat_seconds")
         entry = json.loads(render_metrics_jsonl(reg).strip())
         assert entry["count"] == 0
         assert entry["sum"] == 0.0
-        assert entry["p50"] == 0.0
+        assert entry["quantiles"]["p50"] == 0.0
+        assert entry["buckets"] == []
 
     def test_empty_registry_jsonl_is_empty(self):
         assert render_metrics_jsonl(MetricsRegistry()) == ""

@@ -1,14 +1,11 @@
 """Registry semantics: counters, gauges, histograms, isolation."""
 
-import math
-
 import pytest
 
+from repro.obs.hdr import latency_ms_histogram
 from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     default_registry,
     series_key,
@@ -71,62 +68,64 @@ class TestGauge:
 
 
 class TestHistogram:
+    """The registry's histogram series: a thin wrapper over HdrHistogram."""
+
     def test_observations_land_in_buckets(self):
-        h = Histogram("repro_lat_seconds", buckets=(0.1, 1.0, 10.0))
+        h = MetricsRegistry().histogram("repro_lat_seconds")
         for v in (0.05, 0.5, 5.0, 50.0):
             h.observe(v)
         assert h.count == 4
-        assert h.sum == pytest.approx(55.55)
-        assert h.min == pytest.approx(0.05)
-        assert h.max == pytest.approx(50.0)
-        cumulative = dict(h.cumulative_buckets())
-        assert cumulative[0.1] == 1
-        assert cumulative[1.0] == 2
-        assert cumulative[10.0] == 3
-        assert cumulative[math.inf] == 4
+        assert h.histogram.sum == pytest.approx(55.55)
+        assert h.histogram.min == pytest.approx(0.05)
+        assert h.histogram.max == pytest.approx(50.0)
+        buckets = h.histogram.to_dict()["buckets"]
+        assert len(buckets) == 4
+        assert sum(count for _, count in buckets) == 4
 
-    def test_boundary_value_counts_in_its_le_bucket(self):
-        h = Histogram("repro_lat_seconds", buckets=(1.0, 2.0))
-        h.observe(1.0)
-        cumulative = dict(h.cumulative_buckets())
-        assert cumulative[1.0] == 1
+    def test_quantile_tail_falls_back_to_max(self):
+        h = MetricsRegistry().histogram("repro_lat_seconds")
+        h.observe(1e6)  # beyond the default geometry's 1e4 ceiling
+        assert h.quantile(0.99) == pytest.approx(1e6)
 
-    def test_percentile_interpolates(self):
-        h = Histogram("repro_lat_seconds", buckets=(1.0, 2.0, 4.0))
-        for _ in range(100):
-            h.observe(1.5)
-        # All mass in the (1, 2] bucket: every percentile interpolates
-        # inside it (p0 degenerates to the bucket's lower edge).
-        assert 1.0 < h.percentile(50) <= 2.0
-        assert 1.0 <= h.percentile(0) <= 2.0
-
-    def test_percentile_tail_falls_back_to_max(self):
-        h = Histogram("repro_lat_seconds", buckets=(1.0,))
-        h.observe(100.0)
-        assert h.percentile(99) == pytest.approx(100.0)
-
-    def test_percentile_empty_and_range_checks(self):
-        h = Histogram("repro_lat_seconds")
-        assert h.percentile(95) == 0.0
+    def test_quantile_empty_and_range_checks(self):
+        h = MetricsRegistry().histogram("repro_lat_seconds")
+        assert h.quantile(0.95) == 0.0
         with pytest.raises(ValueError):
-            h.percentile(101)
-
-    def test_bad_buckets_rejected(self):
+            h.quantile(1.01)
         with pytest.raises(ValueError):
-            Histogram("repro_lat_seconds", buckets=())
-        with pytest.raises(ValueError):
-            Histogram("repro_lat_seconds", buckets=(1.0, 1.0))
+            h.quantile(-0.01)
 
-    def test_default_buckets_cover_microseconds_to_seconds(self):
-        assert DEFAULT_BUCKETS[0] <= 1e-5
-        assert DEFAULT_BUCKETS[-1] >= 10.0
+    def test_set_histogram_mirrors_a_copy_with_its_geometry(self):
+        source = latency_ms_histogram()
+        for v in (0.2, 3.0, 40.0):
+            source.record(v)
+        h = MetricsRegistry().histogram("repro_lat_ms")
+        h.set_histogram(source)
+        assert h.histogram.to_dict() == source.to_dict()
+        assert h.histogram.max_value == source.max_value
+        h.reset()
+        assert h.count == 0
+        assert h.histogram.max_value == source.max_value
+        assert source.count == 3  # the mirror is a copy
 
-    def test_timer_observes(self):
-        h = Histogram("repro_lat_seconds")
-        with h.time():
-            pass
-        assert h.count == 1
-        assert h.sum >= 0.0
+    def test_samples_are_a_summary(self):
+        h = MetricsRegistry().histogram("repro_lat_seconds", labels={"k": "v"})
+        assert h.kind == "summary"
+        assert h.samples() == [
+            ('repro_lat_seconds_sum{k="v"}', 0.0),
+            ('repro_lat_seconds_count{k="v"}', 0.0),
+        ]
+        h.observe(0.5)
+        keys = [key for key, _ in h.samples()]
+        assert keys == [
+            'repro_lat_seconds{k="v",quantile="p50"}',
+            'repro_lat_seconds{k="v",quantile="p90"}',
+            'repro_lat_seconds{k="v",quantile="p99"}',
+            'repro_lat_seconds{k="v",quantile="p999"}',
+            'repro_lat_seconds{k="v",quantile="max"}',
+            'repro_lat_seconds_sum{k="v"}',
+            'repro_lat_seconds_count{k="v"}',
+        ]
 
 
 class TestRegistry:
@@ -194,8 +193,13 @@ class TestRegistry:
         entries = {e["name"]: e for e in reg.snapshot()}
         assert entries["repro_c"]["value"] == 2.0
         assert entries["repro_c"]["labels"] == {"x": "1"}
-        assert entries["repro_h"]["count"] == 1
-        assert "p95" in entries["repro_h"]
+        hist = dict(entries["repro_h"])
+        assert (hist.pop("name"), hist.pop("kind"), hist.pop("labels")) == (
+            "repro_h", "summary", {},
+        )
+        assert hist == reg.get("repro_h").histogram.to_dict()
+        assert hist["count"] == 1
+        assert "p99" in hist["quantiles"]
 
 
 class TestDefaultRegistry:

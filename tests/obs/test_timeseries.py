@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.obs.diff import parse_metrics_text
+from repro.obs.exporters import render_prometheus
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import (
     TIMESERIES_SCHEMA,
@@ -70,13 +72,26 @@ class TestRecorderSampling:
 
     def test_histogram_flattens_to_count_and_sum(self):
         reg = MetricsRegistry()
-        hist = reg.histogram("repro_lat_seconds", buckets=(0.1, 1.0))
+        hist = reg.histogram("repro_lat_seconds")
         hist.observe(0.05)
         hist.observe(0.5)
         rec = TimeseriesRecorder(reg, window_s=1.0)
         window = rec.sample(1.0)
         assert window.values["repro_lat_seconds_count"] == 2.0
         assert window.values["repro_lat_seconds_sum"] == pytest.approx(0.55)
+
+    @pytest.mark.parametrize(
+        "observations", [(), (0.05, 0.5, 7.0)], ids=["empty", "observed"]
+    )
+    def test_histogram_keys_match_the_prometheus_scrape(self, observations):
+        reg = MetricsRegistry()
+        reg.counter("repro_x_total").inc(3)
+        hist = reg.histogram("repro_lat_ms", labels={"shard": "0"})
+        for value in observations:
+            hist.observe(value)
+        window = TimeseriesRecorder(reg, window_s=1.0).sample(1.0)
+        scraped = parse_metrics_text(render_prometheus(reg))
+        assert window.values == scraped
 
     def test_values_fn_bypasses_registry(self):
         reads = []

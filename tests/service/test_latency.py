@@ -147,7 +147,7 @@ class TestEndToEndLatency:
         assert rtt.count == report.acks_received - report.acks_unmatched
         assert merged["queue_wait_ms"].count == report.sent_total
         assert merged["ack_latency_ms"].count > 0
-        count_series = registry.get("service_ack_latency_ms_count_total")
-        assert count_series is not None and count_series.value > 0
-        p99 = registry.get("service_ack_latency_ms", {"quantile": "p99"})
-        assert p99 is not None and p99.value > 0.0
+        series = registry.get("service_ack_latency_ms")
+        assert series is not None and series.kind == "summary"
+        assert series.count == merged["ack_latency_ms"].count > 0
+        assert series.quantile(0.99) == merged["ack_latency_ms"].quantile(0.99) > 0.0

@@ -11,6 +11,7 @@ import socket
 import pytest
 
 from repro.errors import ServiceError
+from repro.obs.diff import parse_metrics_text
 from repro.service import (
     LoadgenConfig,
     PortService,
@@ -197,8 +198,14 @@ def test_metrics_endpoint_exports_service_series():
         "service_reports_per_second",
         "service_flags_per_second",
         "service_uptime_seconds",
+        "service_queue_wait_ms",
+        "service_drain_batch_ms",
+        "service_ack_latency_ms",
     ):
         assert family in text, f"missing {family} in /metrics"
+    assert "# TYPE service_queue_wait_ms summary" in text
+    samples = parse_metrics_text(text)
+    assert samples["service_queue_wait_ms_count"] > 0
     assert health["status"] == "ok"
     assert health["shard_errors"] == 0
     assert health["clients"] == 20
